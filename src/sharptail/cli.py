@@ -79,7 +79,7 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, steps = float(a), float(b), int(steps)
     except ValueError:
         raise ParameterError(f"grid must be 'a:b:steps', got {text!r}") from None
-    if steps < 1 or b < a:
+    if not (math.isfinite(a) and math.isfinite(b)) or steps < 1 or b < a:
         raise ParameterError(f"bad grid {text!r}")
     return np.linspace(a, b, steps)
 
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ModelError, ParameterError, OSError) as exc:
+    except (ModelError, ParameterError, UnsupportedModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except HypothesisError as exc:

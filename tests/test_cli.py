@@ -116,6 +116,21 @@ class TestBoundsCommand:
         assert code == 3
         assert "hypothesis" in err
 
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])
+    def test_non_finite_grid_exit_2(self, capsys, rad_file, grid):
+        code, out, err = run(capsys, ["bounds", "--model", rad_file, f"--x-grid={grid}"])
+        assert code == 2
+        assert out == "" and err.startswith("error: bad grid")
+
+    def test_exact_over_lattice_cap_exit_2(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(model_to_dict(extremal_model(1 / 999983, 300))))
+        code, out, err = run(capsys, [
+            "bounds", "--model", str(big), "--x-grid", "0:1:2", "--bounds", "exact",
+        ])
+        assert code == 2
+        assert out == "" and err.startswith("error: lattice would need")
+
     def test_unknown_bound_exit_2(self, capsys, rad_file):
         code, _, err = run(capsys, [
             "bounds", "--model", rad_file, "--x-grid", "0:1:2", "--bounds", "nope",

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,10 +20,14 @@ from sharptail import (
     rademacher_model,
     tilted_mc_tail,
 )
-from sharptail._backend import BACKEND
-from sharptail._convolve_py import convolve_repeat as convolve_py
 from sharptail.errors import HypothesisError, ParameterError, UnsupportedModelError
-from sharptail.oracle import _component_rng
+from sharptail.oracle import (
+    _binomial_masses,
+    _component_rng,
+    _fold_strided,
+    _lattice_layout,
+    convolve_repeat,
+)
 
 from conftest import random_bounded_dist
 
@@ -119,6 +124,13 @@ class TestExactTail:
         with pytest.raises(UnsupportedModelError):
             build_lattice(big)
 
+    def test_infinite_and_nan_thresholds(self):
+        m = extremal_model(0.25, 7)
+        assert exact_tail(m, math.inf).p == 0.0
+        assert exact_tail(m, -math.inf, strict=False).p == 1.0
+        with pytest.raises(ParameterError):
+            exact_tail(m, math.nan)
+
     def test_quantization_reported(self):
         a = 0.1 * math.pi  # no small-denominator rational equals this float
         d = DiscreteDistribution(((a, 0.5), (-a, 0.5)))
@@ -126,31 +138,100 @@ class TestExactTail:
         assert 0.0 < lat.quantization_error < 1e-11
 
 
+def two_atom_repeat(masses, span, probs, times):
+    """The two-atom lattice path: a binomial laid on stride `span`."""
+    return _fold_strided(np.asarray(masses, dtype=float),
+                         _binomial_masses(probs[0], probs[1], times), span)
+
+
+def shift_add_lattice(model):
+    """Reference lattice masses: every block folded by shift-add."""
+    _, layouts, _ = _lattice_layout([(d.values, d.probs, m) for d, m in model.components])
+    masses = np.ones(1)
+    for offsets, probs, mult in layouts:
+        masses = convolve_repeat(masses, offsets - offsets[0], probs, mult)
+    return masses
+
+
 class TestKernelBackends:
     def test_backends_agree(self):
+        # the binomial two-atom path against the shift-add reference
         rng = np.random.default_rng(10)
-        from sharptail._backend import convolve_repeat as active
-        for _ in range(20):
-            k = int(rng.integers(2, 6))
-            offsets = np.unique(rng.integers(0, 12, size=k)).astype(np.int64)
-            offsets[0] = 0
-            probs = rng.dirichlet(np.ones(len(offsets)))
-            start = rng.dirichlet(np.ones(int(rng.integers(1, 8))))
-            times = int(rng.integers(0, 30))
-            a = active(start, offsets, probs, times)
-            b = convolve_py(start, offsets, probs, times)
+        for _ in range(40):
+            span = int(rng.integers(1, 12))
+            probs = rng.dirichlet(np.ones(2))
+            start = rng.dirichlet(np.ones(int(rng.integers(1, 40))))
+            times = int(rng.integers(0, 60))
+            a = two_atom_repeat(start, span, probs, times)
+            b = convolve_repeat(start, np.array([0, span]), probs, times)
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
 
-    def test_active_backend_reported(self):
-        assert BACKEND in ("compiled", "python")
-
     def test_kernel_mass_conservation(self):
-        from sharptail._backend import convolve_repeat as active
         offsets = np.array([0, 2], dtype=np.int64)
         probs = np.array([0.5, 0.5])
-        out = active(np.ones(1), offsets, probs, 10**4)
-        assert abs(math.fsum(out) - 1.0) <= 1e-9
+        for out in (convolve_repeat(np.ones(1), offsets, probs, 10**4),
+                    two_atom_repeat(np.ones(1), 2, probs, 10**4)):
+            assert abs(math.fsum(out) - 1.0) <= 1e-9
+
+    def test_rademacher_masses_exact(self):
+        n = 10**4
+        masses = build_lattice(rademacher_model(n)).masses
+        exact, c = [], 1
+        for k in range(n + 1):
+            exact.append(c / 2**n)  # correctly rounded big-int division
+            c = c * (n - k) // (k + 1)
+        exact = np.array(exact)
+        assert np.all(masses[1::2] == 0.0)
+        assert np.allclose(masses[0::2], exact, rtol=1e-13, atol=1e-300)
+
+    def test_skewed_binomial_against_50_digits(self):
+        m = 4 * 10**4
+        ks = np.linspace(0, m, 201).astype(int)
+        for p in (0.2, 1 / 3, 0.9):
+            q = 1.0 - p
+            masses = _binomial_masses(q, p, m)
+            with mpmath.workdps(50):
+                exact = np.array([float(mpmath.binomial(m, int(k)) * mpmath.mpf(q)**(m - int(k))
+                                        * mpmath.mpf(p)**int(k)) for k in ks])
+            live = exact > 1e-290
+            assert np.allclose(masses[ks][live], exact[live], rtol=1e-13, atol=0.0)
+
+    def test_mixed_blocks_match_shift_add(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            m = SumModel((
+                (random_bounded_dist(rng, max_atoms=2), int(rng.integers(1, 80))),
+                (hoeffding_extremal(float(rng.choice([0.25, 0.5, 0.8]))), int(rng.integers(1, 80))),
+                (random_bounded_dist(rng, max_atoms=4), int(rng.integers(1, 30))),
+            ))
+            lat = build_lattice(m)
+            ref = shift_add_lattice(m)
+            assert lat.masses.shape == ref.shape
+            assert np.allclose(lat.masses, ref, rtol=1e-12, atol=1e-300)
+
+    def test_tail_is_fsum_of_masses(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            m = SumModel(((random_bounded_dist(rng, max_atoms=4), int(rng.integers(1, 60))),))
+            lat = build_lattice(m)
+            for k in rng.integers(1, len(lat), size=5):
+                # halfway between lattice points k - 1 and k
+                thr = float((lat.base + k - Fraction(1, 2)) * lat.step)
+                for strict in (True, False):
+                    assert lat.tail(thr, strict) == min(1.0, math.fsum(lat.masses[k:]))
+
+    def test_suffix_sums_match_fsum(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            m = SumModel(((random_bounded_dist(rng), int(rng.integers(40, 120))),))
+            lat = build_lattice(extremal_model(m.sigma2 / m.n, m.n))
+            masses = lat.masses
+            nz = np.flatnonzero(masses)
+            nz_vals = masses[nz].tolist()
+            nz_suffix = [math.fsum(nz_vals[j:]) for j in range(len(nz))] + [0.0]
+            ref = np.minimum(np.array(nz_suffix)[np.searchsorted(nz, np.arange(len(masses)))], 1.0)
+            assert np.allclose(lat.suffix_sums, ref, rtol=1e-12, atol=0.0)
 
 
 class TestMonteCarlo:
@@ -234,7 +315,45 @@ class TestTiltedMonteCarlo:
         assert abs(tilted.p - exact) <= 4 * tilted.stderr
 
 
+def chain_hull(t):
+    """Reference hull: the monotone chain over every positive point."""
+    t = np.asarray(t, dtype=float)
+    pos = np.flatnonzero(t > 0.0)
+    if pos.size == 0:
+        return t.copy()
+    hx, hy = [], []
+    for x, y in zip(pos.astype(float), np.log(t[pos])):
+        while len(hx) >= 2 and (
+                (hy[-1] - hy[-2]) * (x - hx[-2]) <= (y - hy[-2]) * (hx[-1] - hx[-2])):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    out = t.copy()
+    i0, i1 = int(pos[0]), int(pos[-1])
+    grid = np.arange(i0, i1 + 1, dtype=float)
+    out[i0:i1 + 1] = np.maximum(out[i0:i1 + 1], np.exp(np.interp(grid, hx, hy)))
+    return out
+
+
 class TestLogConcaveHull:
+    def test_matches_unfiltered_chain(self):
+        rng = np.random.default_rng(78)
+        cases = [np.array([0.5, 0.2]), np.array([0.0, 0.3, 0.0]),
+                 build_lattice(extremal_model(0.25, 40)).suffix_sums]
+        for _ in range(60):
+            size = int(rng.integers(1, 80))
+            t = rng.uniform(0, 1, size=size)
+            cases.append(t)
+            # step-shaped tails: plateaus of random length
+            steps = np.sort(rng.uniform(0, 1, size=size))[::-1]
+            cases.append(np.repeat(steps, rng.integers(1, 6, size=size)))
+            holes = t.copy()
+            holes[rng.integers(0, size, size=max(1, size // 4))] = 0.0
+            cases.append(holes)
+        for t in cases:
+            assert np.allclose(log_concave_hull(t), chain_hull(t), rtol=1e-12, atol=0.0)
+
     def test_already_log_concave_unchanged(self):
         t = 0.8 ** np.arange(10)  # geometric tails are log-linear
         assert np.allclose(log_concave_hull(t), t, rtol=1e-14)
@@ -274,7 +393,40 @@ class TestLogConcaveHull:
             log_concave_hull([[0.1], [0.2]])
 
 
+def bentkus_from_full_hull(model, x):
+    """bentkus_bound by interpolating the whole log_concave_hull array."""
+    lat = build_lattice(extremal_model(model.sigma2 / model.n, model.n))
+    hull = log_concave_hull(lat.suffix_sums)
+    target, vals = x * model.sigma, lat.values
+    if target <= vals[0]:
+        return 1.0
+    if target > vals[-1]:
+        return 0.0
+    j = int(np.searchsorted(vals, target, side="right")) - 1
+    if j >= len(vals) - 1:
+        hull_at = float(hull[-1])
+    else:
+        lo, hi = float(hull[j]), float(hull[j + 1])
+        w = (target - vals[j]) / (vals[j + 1] - vals[j])
+        if lo <= 0.0 or hi <= 0.0:
+            hull_at = 0.0 if w > 0 else lo
+        else:
+            hull_at = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
+    return min(1.0, 0.5 * math.e**2 * hull_at)
+
+
 class TestBentkus:
+    def test_matches_full_hull_interpolation(self):
+        rng = np.random.default_rng(67)
+        models = [rademacher_model(100), extremal_model(0.25, 30)]
+        models += [SumModel(((random_bounded_dist(rng), int(rng.integers(20, 80))),))
+                   for _ in range(3)]
+        for m in models:
+            top = float(m.max_support) / m.sigma
+            for x in list(np.linspace(0.0, top, 23)) + [top, top * 1.01]:
+                assert bentkus_bound(m, x) == pytest.approx(
+                    bentkus_from_full_hull(m, x), rel=1e-12, abs=0.0)
+
     def test_at_zero_capped(self):
         assert bentkus_bound(rademacher_model(100), 0.0) == 1.0
 
