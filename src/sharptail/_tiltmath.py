@@ -48,10 +48,31 @@ def tilted_stats_grid(values, probs, lams):
     return log_mgf, mean, var
 
 
-def tilted_second_moment(values, probs, lam):
-    """E_lam[xi^2], the MGF-ratio route; kept as a cross-check only."""
-    if lam == 0.0:
-        return float(np.dot(probs, values**2))
-    shift = lam * float(values[-1])
-    w = probs * np.exp(lam * values - shift)
-    return float(np.dot(w, values**2) / w.sum())
+def packed_cumulants(values, probs, mults, lams):
+    """(cum, cum', cum'') of a whole sum at every tilt in `lams` (all >= 0),
+    as the rows of one (3, len(lams)) array.
+
+    `values` and `probs` are the (C x K) packed atom matrix of the sum's C
+    components, each row sorted ascending (zero-probability padding repeats
+    the row's top atom), and `mults` holds their multiplicities.  Each row is
+    max-shifted by its top atom and its variance is taken in two passes, as
+    in :func:`tilted_stats`; the results are multiplicity-weighted sums over
+    the rows.  Every operation acts on one tilt's rows alone, so a tilt gets
+    the same bits whichever other tilts share the call.
+    """
+    lams = np.asarray(lams, dtype=float)
+    top = values[:, -1]
+    w = np.exp(lams[:, None, None] * (values - top[:, None]))
+    w *= probs
+    z = np.add.reduce(w, axis=2)
+    w /= z[:, :, None]
+    out = np.empty((3,) + z.shape)
+    np.log(z, out=out[0])
+    out[0] += lams[:, None] * top
+    np.add.reduce(w * values, axis=2, out=out[1])
+    dev = values - out[1][:, :, None]
+    dev *= dev
+    dev *= w
+    np.add.reduce(dev, axis=2, out=out[2])
+    out *= mults
+    return np.add.reduce(out, axis=2)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .models import check_curvature_condition, load_model, rademacher_model
 from .oracle import build_lattice, mc_tail, tilted_mc_tail
-from .rate import chernoff_bound, fenchel_legendre, solve_target
+from .rate import chernoff_bound, fenchel_legendre, solve_target, solve_targets
 from .sharp import (
     C3_UNIVERSAL,
     expansion_interval,
@@ -56,6 +56,9 @@ ALL_BOUNDS = (
 )
 
 _INTERVALS = ("expansion", "saddlepoint", "third_moment", "two_sided")
+
+#: bounds built on the optimized exponential-Markov bound, hence on a saddlepoint
+_SOLVED = ("chernoff",) + _INTERVALS
 
 
 def _fmt(v) -> str:
@@ -145,6 +148,10 @@ def cmd_bounds(args) -> int:
             if explicit:
                 raise
             return None
+
+    if any(name in _SOLVED for name in selected):
+        # one batched solve; the per-x calls below read its record
+        solve_targets(model, [x * model.sigma for x in xs if x >= 0])
 
     rows = []
     for x in xs:
@@ -296,10 +303,13 @@ def verify_report(model, B: float, delta: float, lambda_grid=None,
         builders.append(("saddlepoint",
                          lambda x: saddlepoint_interval(model, x, delta),
                          0.9 * model.max_support / sigma))
-        for name, fn, xmax in builders:
+        grids = [np.linspace(0.0, xmax, containment_points) for _, _, xmax in builders]
+        # every grid in one batched solve; the intervals read its record
+        solve_targets(model, [x * sigma for xs in grids for x in xs])
+        for (name, fn, _), xs in zip(builders, grids):
             worst = math.inf
             ok = True
-            for x in np.linspace(0.0, xmax, containment_points):
+            for x in xs:
                 try:
                     iv = fn(x)
                 except NoSaddlepointError:
@@ -336,6 +346,7 @@ def cmd_rate(args) -> int:
     model = load_model(args.model)
     ys = _parse_grid(args.y_grid)
     n = model.n
+    solve_targets(model, [n * y for y in ys if y > 0])
     rows = []
     for y in ys:
         try:

@@ -23,3 +23,7 @@ class NoSaddlepointError(ValueError):
 
 class UnsupportedModelError(ValueError):
     """The exact oracle cannot represent this model on a tractable lattice."""
+
+
+class NumericalError(ArithmeticError):
+    """A floating-point cross-check failed, so the computed value is not trusted."""

@@ -164,6 +164,31 @@ class SumModel:
     def min_support(self) -> float:
         return sum(m * d.lower for d, m in self.components)
 
+    @cached_property
+    def packed_atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, probs, mults): the components as one padded (C x K) atom
+        matrix and a multiplicity vector.  A row with fewer than K atoms is
+        padded by repeating its top atom with probability 0, so every row
+        stays sorted and ends at its component's essential supremum."""
+        k = max(len(d.atoms) for d, _ in self.components)
+        values = np.empty((len(self.components), k))
+        probs = np.zeros((len(self.components), k))
+        for row, (d, _) in enumerate(self.components):
+            values[row, :d.values.size] = d.values
+            values[row, d.values.size:] = d.upper
+            probs[row, :d.probs.size] = d.probs
+        mults = np.array([m for _, m in self.components], dtype=float)
+        return values, probs, mults
+
+    @cached_property
+    def saddlepoint_record(self) -> dict:
+        """Outcome of every threshold solved on this instance, keyed by the
+        raw threshold: a :class:`sharptail.rate.Saddlepoint`, or the reason
+        no saddlepoint exists.  Filled by :func:`sharptail.rate.solve_targets`,
+        one entry per distinct threshold; never shared between instances,
+        equal or not."""
+        return {}
+
     def abs_moment_sum(self, p: float) -> float:
         """sum_i E|xi_i|^p over all n summands."""
         return sum(m * abs_moment(d, p) for d, m in self.components)

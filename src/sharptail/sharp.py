@@ -17,7 +17,6 @@ from .classical import SQRT_2PI, SQRT_PI, bernstein_arg, hoeffding_bound, mills_
 from .errors import HypothesisError, ParameterError, RangeError
 from .models import SumModel
 from .rate import chernoff_bound, solve_saddlepoint
-from .tilting import tilt
 
 _HYP_TOL = 1e-12
 
@@ -185,8 +184,7 @@ def saddlepoint_interval(model: SumModel, x: float, delta: float = 1.0,
         raise ParameterError(f"x must be >= 0, got {x}")
     B = model.a_max
     sp = solve_saddlepoint(model, x)
-    state = tilt(model, sp.lam)
-    sbar = math.sqrt(state.variance)
+    sbar = math.sqrt(sp.variance)
     theta = mills_ratio(sp.lam * sbar)
     eps = (
         2.0 ** (3 + delta) * C * math.exp(B * sp.lam)

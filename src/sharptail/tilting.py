@@ -1,8 +1,8 @@
 """Exponential change of measure and the machine-checked inequality suite.
 
-`tilt` reweights every atom by exp(lam * value) and reports the tilted
-component means, their sum (the tilted mean of the whole sum, which equals
-the cumulant derivative) and the total tilted variance.
+`tilt` reweights every atom by exp(lam * value) and reports each tilted
+component, the tilted mean of the whole sum (which equals the cumulant
+derivative) and the total tilted variance.
 
 `inequality_suite` evaluates, on a tilt grid, the standard envelope
 inequalities this package's sharp bounds rest on: two-point and Gaussian MGF
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._tiltmath import tilted_second_moment, tilted_stats, tilted_stats_grid
-from .errors import ParameterError
+from ._tiltmath import tilted_stats, tilted_stats_grid
+from .errors import NumericalError, ParameterError
 from .models import SumModel, abs_moment, check_curvature_condition, curvature_condition_from_moments
 from .oracle import build_tilted_lattice
 
@@ -45,7 +45,6 @@ class TiltedState:
 
     lam: float
     components: tuple[TiltedComponent, ...]
-    component_means: tuple[float, ...]
     mean: float       # tilted mean of the sum = cumulant derivative at lam
     variance: float   # total tilted variance
 
@@ -53,14 +52,14 @@ class TiltedState:
 def tilt(model: SumModel, lam: float) -> TiltedState:
     """Reweight every component by exp(lam * value) and collect moments.
 
-    Variances come from the two-pass atom formula; the MGF-ratio route is
-    recomputed as a cross-check and must agree to 1e-10 on the scale of the
-    tilted second moment.
+    Variances come from the two-pass atom formula; the tilted second moment
+    is recomputed from the tilted probabilities as a cross-check, and
+    :class:`NumericalError` is raised unless var + mean^2 matches it to 1e-10
+    on its own scale.
     """
     if lam < 0:
         raise ParameterError(f"lam must be >= 0, got {lam}")
     comps = []
-    means = []
     for dist, m in model.components:
         if lam == 0.0:
             tc = TiltedComponent(
@@ -70,19 +69,20 @@ def tilt(model: SumModel, lam: float) -> TiltedState:
             )
         else:
             _, mean, var, tp = tilted_stats(dist.values, dist.probs, lam)
-            m2 = tilted_second_moment(dist.values, dist.probs, lam)
-            assert abs((var + mean * mean) - m2) <= 1e-10 * max(m2, 1e-300), \
-                "tilted variance cross-check failed"
+            m2 = float(np.dot(tp, dist.values**2))
+            if not abs((var + mean * mean) - m2) <= 1e-10 * max(m2, 1e-300):
+                raise NumericalError(
+                    f"tilted variance cross-check failed at lam={lam}: "
+                    f"var + mean^2 = {var + mean * mean:.17g}, E xi^2 = {m2:.17g}"
+                )
             tc = TiltedComponent(values=dist.values, probs=tp, mean=mean,
                                  variance=var, multiplicity=m)
         comps.append(tc)
-        means.append(tc.mean)
     total_mean = sum(tc.mean * tc.multiplicity for tc in comps)
     total_var = sum(tc.variance * tc.multiplicity for tc in comps)
     return TiltedState(
         lam=lam,
         components=tuple(comps),
-        component_means=tuple(means),
         mean=total_mean,
         variance=total_var,
     )

@@ -15,46 +15,14 @@ from sharptail import DiscreteDistribution, SumModel
 from sharptail.errors import ModelError
 
 
-def random_bounded_dist(rng, denominators=(2, 4, 5), max_atoms=6):
-    """Mean-zero distribution with 2..max_atoms atoms on a k/q grid in [-1, 1]."""
-    while True:
-        q = int(rng.choice(denominators))
-        k = int(rng.integers(2, min(max_atoms, 2 * q + 1) + 1))
-        nums = rng.choice(np.arange(-q, q + 1), size=k, replace=False)
-        vals = [Fraction(int(v), q) for v in nums]
-        if max(vals) <= 0 or min(vals) >= 0:
-            continue
-        w = rng.integers(1, 20, size=k)
-        total = int(w.sum())
-        probs = [Fraction(int(wi), total) for wi in w]
-        mean = sum(p * v for p, v in zip(probs, vals))
-        i = vals.index(min(vals))
-        j = vals.index(max(vals))
-        delta = -mean / (vals[j] - vals[i])
-        probs[j] += delta
-        probs[i] -= delta
-        if probs[i] <= 0 or probs[j] <= 0:
-            continue
-        assert sum(p * v for p, v in zip(probs, vals)) == 0
-        try:
-            return DiscreteDistribution(
-                tuple((float(v), float(p)) for v, p in zip(vals, probs))
-            )
-        except ModelError:
-            continue
-
-
-def random_model(rng, n_lo=50, n_hi=500, **dist_kwargs):
-    """Single-block model with log-uniform multiplicity in [n_lo, n_hi]."""
-    n = int(np.exp(rng.uniform(np.log(n_lo), np.log(n_hi))))
-    return SumModel(((random_bounded_dist(rng, **dist_kwargs), n),))
-
-
-def _dist_from_draw(q, picks, weights):
-    vals = [Fraction(v, q) for v in picks]
+def _centered_dist(vals, weights):
+    """Distribution on the rational atoms `vals` with probabilities
+    proportional to the integer `weights`, recentred exactly by moving mass
+    between the extreme atoms; None when that is impossible."""
     if max(vals) <= 0 or min(vals) >= 0:
         return None
-    probs = [Fraction(w, sum(weights)) for w in weights]
+    total = sum(int(w) for w in weights)
+    probs = [Fraction(int(w), total) for w in weights]
     mean = sum(p * v for p, v in zip(probs, vals))
     i = vals.index(min(vals))
     j = vals.index(max(vals))
@@ -63,12 +31,35 @@ def _dist_from_draw(q, picks, weights):
     probs[i] -= delta
     if probs[i] <= 0 or probs[j] <= 0:
         return None
+    assert sum(p * v for p, v in zip(probs, vals)) == 0
     try:
         return DiscreteDistribution(
             tuple((float(v), float(p)) for v, p in zip(vals, probs))
         )
     except ModelError:
         return None
+
+
+def random_bounded_dist(rng, denominators=(2, 4, 5), max_atoms=6):
+    """Mean-zero distribution with 2..max_atoms atoms on a k/q grid in [-1, 1]."""
+    while True:
+        q = int(rng.choice(denominators))
+        k = int(rng.integers(2, min(max_atoms, 2 * q + 1) + 1))
+        nums = rng.choice(np.arange(-q, q + 1), size=k, replace=False)
+        vals = [Fraction(int(v), q) for v in nums]
+        # rejected before the weights are drawn, so the rng stream (and with
+        # it every seeded test model) does not depend on the helper
+        if max(vals) <= 0 or min(vals) >= 0:
+            continue
+        dist = _centered_dist(vals, rng.integers(1, 20, size=k))
+        if dist is not None:
+            return dist
+
+
+def random_model(rng, n_lo=50, n_hi=500, **dist_kwargs):
+    """Single-block model with log-uniform multiplicity in [n_lo, n_hi]."""
+    n = int(np.exp(rng.uniform(np.log(n_lo), np.log(n_hi))))
+    return SumModel(((random_bounded_dist(rng, **dist_kwargs), n),))
 
 
 @hst.composite
@@ -80,7 +71,7 @@ def bounded_dists(draw, denominators=(2, 4, 5)):
         hst.lists(hst.integers(-q, q), min_size=k, max_size=k, unique=True)
     )
     weights = draw(hst.lists(hst.integers(1, 19), min_size=k, max_size=k))
-    dist = _dist_from_draw(q, picks, weights)
+    dist = _centered_dist([Fraction(v, q) for v in picks], weights)
     assume(dist is not None)
     return dist
 

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sharptail
 import sharptail.cli as cli
 from sharptail import build_lattice, extremal_model, model_to_dict, rademacher_model
 from sharptail.cli import main
@@ -261,3 +265,12 @@ class TestMcCommand:
         payload = json.loads(out)
         assert payload["estimate"]["p"] == 0.0
         assert "upper confidence" in payload["note"]
+
+
+def test_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize costs a large share of CLI start-up
+    src = os.path.dirname(os.path.dirname(sharptail.__file__))
+    code = "import sharptail.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -1,11 +1,15 @@
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from sharptail import (
+    DiscreteDistribution,
+    SumModel,
     chernoff_bound,
     chernoff_log,
     cumulant,
@@ -13,9 +17,14 @@ from sharptail import (
     extremal_model,
     fenchel_legendre,
     hoeffding_log,
+    loads_model,
+    model_to_dict,
+    rademacher,
     rademacher_model,
     solve_saddlepoint,
     solve_target,
+    solve_targets,
+    tilt,
 )
 from sharptail._tiltmath import tilted_stats
 from sharptail.errors import NoSaddlepointError, ParameterError
@@ -24,6 +33,32 @@ from conftest import random_model, sum_models
 
 ATANH_01 = 0.1003353477310755806357          # atanh(0.1), 40-digit value
 CHERNOFF_RAD_100_1 = 0.6060233970676034738573  # exp(100 log cosh(atanh .1) - 10 atanh .1)
+
+FIVE_ATOM = DiscreteDistribution(
+    ((-0.75, 0.17), (-0.25, 0.35), (0.05, 0.2), (0.5, 0.15), (1.0, 0.13)))
+SKEWED = DiscreteDistribution(((-0.25, 0.8), (1.0, 0.2)))
+
+
+def mixed_model(scale=1):
+    """Two-, two- and five-atom blocks, 600 summands at scale 1."""
+    return SumModel(((rademacher(), 200 * scale), (SKEWED, 300 * scale),
+                     (FIVE_ATOM, 100 * scale)))
+
+
+def mp_saddle(model, target, lam0):
+    """Root of cum'(lam) = target at 50 digits, on the model's float atoms."""
+    with mpmath.workdps(50):
+        comps = [([mpmath.mpf(v) for v in d.values], [mpmath.mpf(p) for p in d.probs], m)
+                 for d, m in model.components]
+
+        def resid(lam):
+            total = mpmath.mpf(0)
+            for vals, probs, m in comps:
+                w = [p * mpmath.exp(lam * v) for v, p in zip(vals, probs)]
+                total += m * mpmath.fsum(wi * v for wi, v in zip(w, vals)) / mpmath.fsum(w)
+            return total - target
+
+        return mpmath.findroot(resid, mpmath.mpf(lam0))
 
 
 class TestCumulant:
@@ -107,6 +142,21 @@ class TestSaddlepoint:
         with pytest.raises(NoSaddlepointError):
             solve_target(m, 12.0)
 
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
+    def test_rademacher_atanh_grid(self, n):
+        m = rademacher_model(n)
+        fracs = [1e-4, 0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999]
+        for f, sp in zip(fracs, solve_targets(m, [f * n for f in fracs])):
+            assert sp.lam == pytest.approx(math.atanh(f), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("scale", [1, 5])
+    def test_mixed_model_against_mpmath(self, scale):
+        m = mixed_model(scale)
+        targets = [x * m.sigma for x in (0.05, 0.5, 1.0, 2.0, 3.0, 6.0)]
+        targets += [f * m.max_support for f in (0.5, 0.9, 0.99)]
+        for t, sp in zip(targets, solve_targets(m, targets)):
+            assert float(mp_saddle(m, t, sp.lam)) == pytest.approx(sp.lam, rel=1e-10, abs=0)
+
     def test_residual_invariant(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -115,6 +165,62 @@ class TestSaddlepoint:
             sp = solve_target(m, target)
             assert abs(cumulant_deriv(m, sp.lam) - target) <= 1e-12 * max(1.0, target)
             assert sp.log_bound <= 0.0
+            assert sp.cumulant_value == cumulant(m, sp.lam)
+            assert sp.variance == pytest.approx(tilt(m, sp.lam).variance, rel=1e-12)
+
+    @given(hst.lists(sum_models(), min_size=1, max_size=3),
+           hst.lists(hst.floats(0.0, 0.999), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_residual_gate(self, blocks, fracs):
+        m = SumModel(tuple(c for b in blocks for c in b.components))
+        targets = [f * m.max_support for f in fracs]
+        for t, sp in zip(targets, solve_targets(m, targets)):
+            assert sp is not None
+            assert abs(cumulant_deriv(m, sp.lam) - t) <= 1e-12 * max(1.0, t)
+
+    def test_batch_matches_scalar_bitwise(self):
+        targets = [x * mixed_model().sigma for x in np.linspace(0, 8, 41)]
+        targets += [f * mixed_model().max_support for f in (0.5, 0.9, 0.999)]
+        batch = solve_targets(mixed_model(), targets)
+        for t, sp in zip(targets, batch):
+            assert solve_target(mixed_model(), t) == sp   # fresh model: solved alone
+
+    def test_unsolvable_points_do_not_stop_the_batch(self):
+        # a block whose atoms sit far below a_max cannot tilt to its sup by
+        # lam = 700 / a_max: cum'(cap) < sup, so thresholds in between saturate
+        tiny = DiscreteDistribution(((-1e-3, 0.5), (1e-3, 0.5)))
+        m = SumModel(((rademacher(), 10), (tiny, 100)))
+        sup = m.max_support
+        saturated = 10.0 + 0.08
+        targets = [1.0, sup, 5.0, 2 * sup, saturated, 0.0]
+        got = solve_targets(m, targets)
+        assert [sp is None for sp in got] == [False, True, False, True, True, False]
+        assert solve_target(m, 1.0) is got[0]   # the scalar API reads the batch
+        with pytest.raises(NoSaddlepointError, match="essential sup"):
+            solve_target(m, sup)
+        with pytest.raises(NoSaddlepointError, match="essential sup"):
+            solve_target(m, 2 * sup)
+        with pytest.raises(NoSaddlepointError, match="saturates"):
+            solve_target(m, saturated)
+
+    def test_invalid_targets_rejected(self):
+        m = rademacher_model(10)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ParameterError):
+                solve_targets(m, [1.0, bad])
+            with pytest.raises(ParameterError):
+                solve_target(m, bad)
+
+    def test_record_is_per_instance(self):
+        text = json.dumps(model_to_dict(mixed_model()))
+        a, b = loads_model(text), loads_model(text)
+        assert a == b
+        t = 2.0 * a.sigma
+        sp_a = solve_target(a, t)
+        assert solve_target(a, t) is sp_a   # read back from a's record
+        assert t not in b.saddlepoint_record
+        sp_b = solve_target(b, t)
+        assert sp_b == sp_a and sp_b is not sp_a
 
 
 class TestChernoff:

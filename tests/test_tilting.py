@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from sharptail import (
     rademacher_model,
     tilt,
 )
+import sharptail
+from sharptail import tilting
 from sharptail._tiltmath import tilted_stats
-from sharptail.errors import ParameterError
+from sharptail.errors import NumericalError, ParameterError
 
 from conftest import random_model, sum_models
 
@@ -55,6 +60,38 @@ class TestTilt:
             lat = build_tilted_lattice(m, lam)
             conv_mean = float(np.dot(lat.masses, lat.values))
             assert conv_mean == pytest.approx(state.mean, abs=1e-10 * max(1, m.n))
+
+    def test_variance_cross_check_fires(self, monkeypatch):
+        def skewed_variance(values, probs, lam):
+            log_mgf, mean, var, tp = tilted_stats(values, probs, lam)
+            return log_mgf, mean, var * (1 + 1e-6), tp
+
+        monkeypatch.setattr(tilting, "tilted_stats", skewed_variance)
+        with pytest.raises(NumericalError, match="cross-check"):
+            tilt(rademacher_model(4), 0.5)
+
+    def test_variance_cross_check_survives_optimize_flag(self):
+        # the check must not be an assert: python -O strips those
+        code = (
+            "import sharptail\n"
+            "from sharptail import tilting\n"
+            "from sharptail.errors import NumericalError\n"
+            "real = tilting.tilted_stats\n"
+            "def skewed(v, p, lam):\n"
+            "    lm, mean, var, tp = real(v, p, lam)\n"
+            "    return lm, mean, var * (1 + 1e-6), tp\n"
+            "tilting.tilted_stats = skewed\n"
+            "try:\n"
+            "    tilting.tilt(sharptail.rademacher_model(4), 0.5)\n"
+            "except NumericalError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(sharptail.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
     @given(sum_models(n_max=20), hst.floats(0, 2), hst.floats(0, 2))
     @settings(max_examples=100, deadline=None)
