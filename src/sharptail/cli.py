@@ -233,9 +233,15 @@ def ratio_rows(n_list, x_max: float, points: int, tail_floor: float = 1e-12):
 
 
 def cmd_ratio(args) -> int:
-    n_list = [int(s) for s in args.n_list.split(",")]
+    try:
+        n_list = [int(s) for s in args.n_list.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     if any(n < 1 for n in n_list):
         raise ParameterError("all n must be >= 1")
+    if args.points < 1:
+        raise ParameterError(f"--points must be >= 1, got {args.points}")
     rows = ratio_rows(n_list, args.x_max, args.points)
     header = ["n", "x", "exact_tail", "theta_hoeffding", "ratio"]
     emit = _emit_csv if args.format == "csv" else _emit_json

@@ -9,7 +9,10 @@ its m + 1 masses come from the binomial ratio recurrence in O(m); blocks
 with more atoms are folded in one copy at a time by shifted-slice adds.  Threshold
 comparisons against lattice points are exact rational comparisons, so strict
 and non-strict tails are separated correctly on the lattice and coincide off
-it.
+it.  A tail is the correctly rounded sum of the masses above the threshold:
+a table of exact per-block suffix sums, built once per lattice in integer
+limbs, reduces each query to one `math.fsum` over the rest of a block and
+one table row, with the same bits as `math.fsum` over the whole suffix.
 
 Monte-Carlo sampling uses counter-based Philox streams with the split rule
 key = (seed, component_index), so runs are reproducible and components could
@@ -35,6 +38,20 @@ DENOMINATOR_CAP = 10**6
 
 #: hard cap on the convolved lattice length
 MAX_LATTICE_POINTS = 10**8
+
+#: lattice points per row of the exact suffix table behind `tail`
+_TAIL_BLOCK = 256
+#: place value of the lowest 32-bit limb: every mass frexp mantissa, read as
+#: a 53-bit integer, has its lowest bit at 2^-1126 or above (2^-1074 = 2^52
+#: * 2^-1126), and 2^-1152 is the next multiple of 2^32 below
+_LIMB_FLOOR = -1152
+#: limbs spanned from 2^_LIMB_FLOOR to the top of the largest finite double
+_LIMBS = (1024 - 53 - _LIMB_FLOOR) // 32 + 3
+#: lattice points split per pass while the table is built
+_TABLE_CHUNK = 16 * _TAIL_BLOCK
+
+#: Monte-Carlo rows drawn per multinomial call
+_MC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,8 +122,49 @@ class LatticeDistribution:
         k = self._first_index_above(threshold, strict)
         if k >= len(self.masses):
             return 0.0
-        # fsum walks a list faster than an ndarray; the sum is the same
-        return min(1.0, math.fsum(self.masses[k:].tolist()))
+        # masses[k:] is this block's rest plus the exact sum of the next row,
+        # so fsum rounds the same exact value as over masses[k:] itself
+        b = k // _TAIL_BLOCK + 1
+        head = self.masses[k:b * _TAIL_BLOCK].tolist()
+        return min(1.0, math.fsum(head + self._suffix_table[b].tolist()))
+
+    @cached_property
+    def _suffix_table(self) -> np.ndarray:
+        """Row b holds doubles whose exact sum is the exact sum of
+        masses[b * _TAIL_BLOCK:]; the last row is empty (all zeros).
+
+        Each mass (non-negative) is an integer mantissa M < 2^53 times a
+        power of two, which lands M in three adjacent 32-bit limbs of a fixed
+        grid starting at 2^_LIMB_FLOOR.  Limb sums per block are integers
+        below 2^40, exact in the float weights of bincount; their suffix sums
+        over blocks are integers below n * 2^32 < 2^63 (n <=
+        MAX_LATTICE_POINTS), exact in int64.  Each is then split into two
+        32-bit halves, exact doubles at their place values.
+        """
+        masses = self.masses
+        n = len(masses)
+        n_blocks = -(-n // _TAIL_BLOCK)
+        sums = np.zeros((n_blocks + 1, _LIMBS), dtype=np.int64)
+        # in chunks, so the temporaries stay small on long lattices
+        for lo in range(0, n, _TABLE_CHUNK):
+            mant, exp = np.frexp(masses[lo:lo + _TABLE_CHUNK])
+            m = (mant * 2.0**53).astype(np.int64)
+            shift = exp.astype(np.int64) - (53 + _LIMB_FLOOR)
+            r = shift & 31
+            idx = (np.arange(len(m)) // _TAIL_BLOCK) * _LIMBS + (shift >> 5)
+            size = -(-len(m) // _TAIL_BLOCK) * _LIMBS
+            part = np.bincount(idx, ((m & ((1 << (32 - r)) - 1)) << r).astype(float), size)
+            part += np.bincount(idx + 1, ((m >> (32 - r)) & 0xFFFFFFFF).astype(float), size)
+            part += np.bincount(idx + 2, ((m >> 32) >> (32 - r)).astype(float), size)
+            b = lo // _TAIL_BLOCK
+            sums[b:b + size // _LIMBS] = part.reshape(-1, _LIMBS)
+        np.cumsum(sums[::-1], axis=0, out=sums[::-1])
+        # row 0 dominates every row, so its zero limbs are zero everywhere
+        used = np.flatnonzero(sums[0])
+        sums = sums[:, used]
+        place = _LIMB_FLOOR + 32 * used
+        return np.hstack([np.ldexp((sums >> 32).astype(float), place + 32),
+                          np.ldexp((sums & 0xFFFFFFFF).astype(float), place)])
 
     @cached_property
     def suffix_sums(self) -> np.ndarray:
@@ -269,18 +327,26 @@ def _component_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _sample_sums(components, n_samples: int, seed: int) -> np.ndarray:
-    """Sample n_samples values of the sum; components are (values, probs, mult)."""
+    """Sample n_samples values of the sum; components are (values, probs, mult).
+
+    Counts are drawn in row chunks of _MC_CHUNK, which consume each stream
+    exactly as one n_samples-row draw would, without its n_samples x K
+    count matrix.
+    """
     sums = np.zeros(n_samples, dtype=float)
     for ci, (values, probs, mult) in enumerate(components):
         rng = _component_rng(seed, ci)
-        counts = rng.multinomial(mult, probs, size=n_samples)
-        sums += counts @ values
+        for lo in range(0, n_samples, _MC_CHUNK):
+            counts = rng.multinomial(mult, probs, size=min(_MC_CHUNK, n_samples - lo))
+            sums[lo:lo + len(counts)] += counts @ values
     return sums
 
 
 def mc_tail(model: SumModel, threshold: float, strict: bool,
             n_samples: int, seed: int) -> TailEstimate:
     """Plain Monte-Carlo frequency estimate of the tail."""
+    if math.isnan(threshold):
+        raise ParameterError("threshold must not be nan")
     if n_samples < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     comps = [(d.values, d.probs, m) for d, m in model.components]

@@ -29,6 +29,11 @@ from .models import SumModel
 #: relative tolerance on cum'(lam) at the returned saddlepoint
 ROOT_RTOL = 1e-12
 
+#: the gate never goes below this many units of eps * sum_i m_i max|xi_i|,
+#: the rounding noise of cum' itself (a sum of that many like-scaled terms),
+#: which exceeds ROOT_RTOL below t = 1 on large wide models
+_NOISE_ULPS = 4.0
+
 #: beyond lam = 700 / a_max the tilt saturates in float64
 _LAM_EXP_CAP = 700.0
 
@@ -131,7 +136,8 @@ def _solve_into(model: SumModel, targets: list[float], record: dict) -> None:
         if not keep.any():
             return
         t, lam, cums = t[keep], lam[keep], cums[:, keep]
-    tol = ROOT_RTOL * np.maximum(1.0, t)
+    noise = _NOISE_ULPS * _EPS * float(mults @ np.abs(values).max(axis=1))
+    tol = np.maximum(ROOT_RTOL * np.maximum(1.0, t), noise)
     lo = np.zeros_like(t)
     hi = np.full_like(t, lam_cap)
     # |Newton step| / lam that led to lam, inf if none.  A target within

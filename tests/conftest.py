@@ -14,6 +14,10 @@ from hypothesis import strategies as hst
 from sharptail import DiscreteDistribution, SumModel
 from sharptail.errors import ModelError
 
+#: five atoms on a 0.05 grid in [-0.75, 1], mean zero
+FIVE_ATOM = DiscreteDistribution(
+    ((-0.75, 0.17), (-0.25, 0.35), (0.05, 0.2), (0.5, 0.15), (1.0, 0.13)))
+
 
 def _centered_dist(vals, weights):
     """Distribution on the rational atoms `vals` with probabilities

@@ -166,6 +166,18 @@ class TestRatioCommand:
         assert all(float(dict(zip(header, r))["exact_tail"]) >= 1e-12 for r in rows)
         assert len(rows) < 21
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-list", "10,x"],
+        ["--n-list", "10,"],
+        ["--points", "-1"],
+        ["--points", "0"],
+    ])
+    def test_bad_arguments_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, ["ratio", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_rademacher_passes(self, capsys, rad_file):
@@ -265,6 +277,15 @@ class TestMcCommand:
         payload = json.loads(out)
         assert payload["estimate"]["p"] == 0.0
         assert "upper confidence" in payload["note"]
+
+    @pytest.mark.parametrize("method", ["mc", "tilted"])
+    def test_nan_threshold_exit_2(self, capsys, rad_file, method):
+        code, out, err = run(capsys, [
+            "mc", "--model", rad_file, "--x", "nan", "--samples", "100", "--method", method,
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nan" in err
 
 
 def test_import_leaves_out_scipy_optimize():

@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from sharptail import (
     DiscreteDistribution,
@@ -17,19 +19,24 @@ from sharptail import (
     hoeffding_extremal,
     log_concave_hull,
     mc_tail,
+    rademacher,
     rademacher_model,
     tilted_mc_tail,
 )
 from sharptail.errors import HypothesisError, ParameterError, UnsupportedModelError
 from sharptail.oracle import (
+    _MC_CHUNK,
+    _TAIL_BLOCK,
+    LatticeDistribution,
     _binomial_masses,
     _component_rng,
     _fold_strided,
     _lattice_layout,
+    _sample_sums,
     convolve_repeat,
 )
 
-from conftest import random_bounded_dist
+from conftest import FIVE_ATOM, random_bounded_dist
 
 
 def enumerate_tail(model, threshold, strict):
@@ -234,6 +241,75 @@ class TestKernelBackends:
             assert np.allclose(lat.suffix_sums, ref, rtol=1e-12, atol=0.0)
 
 
+def assert_tails_are_fsum(lat, ks):
+    """tail at every threshold that selects index k, strict and non-strict, is
+    bit-equal to fsum over masses[k:]."""
+    masses = lat.masses
+    for k in ks:
+        want = min(1.0, math.fsum(masses[k:].tolist()))
+        mid = float((lat.base + k - Fraction(1, 2)) * lat.step)
+        assert lat.tail(mid, strict=True) == want, k
+        assert lat.tail(mid, strict=False) == want, k
+        # on the lattice, where the points are doubles: P(S > v_{k-1}), P(S >= v_k)
+        for j, strict in ((k - 1, True), (k, False)):
+            if Fraction(lat.value(j)) == (lat.base + j) * lat.step:
+                assert lat.tail(lat.value(j), strict) == want, k
+
+
+def table_indices(n, stride):
+    """k = 0, n - 1, every block boundary +-1 and a stride of the rest."""
+    ks = {0, n - 1, *range(0, n, stride)}
+    for b in range(0, n + _TAIL_BLOCK, _TAIL_BLOCK):
+        ks.update((b - 1, b, b + 1))
+    return sorted(k for k in ks if 0 <= k < n)
+
+
+@hst.composite
+def mass_vectors(draw):
+    """Non-negative masses longer than one block, with exponents from 2^1 down
+    to subnormals and a share of exact zeros."""
+    n = draw(hst.integers(_TAIL_BLOCK + 1, 3 * _TAIL_BLOCK + 5))
+    lowest = draw(hst.integers(-1075, 1))
+    zeros = draw(hst.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    masses = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lowest, 2, n))
+    masses[rng.random(n) < zeros] = 0.0
+    return masses
+
+
+class TestTailTable:
+    """`tail` reads a table of exact block suffix sums; it must give fsum's bits."""
+
+    @pytest.mark.parametrize("model", [
+        rademacher_model(10**4),
+        SumModel(((FIVE_ATOM, 400),)),
+        rademacher_model(50),
+    ], ids=["rademacher_1e4", "five_atom_400", "under_one_block"])
+    def test_model_lattices(self, model):
+        lat = build_lattice(model)
+        assert_tails_are_fsum(lat, table_indices(len(lat), 97))
+
+    @pytest.mark.parametrize("n", [1, _TAIL_BLOCK - 1, _TAIL_BLOCK, _TAIL_BLOCK + 1,
+                                   2 * _TAIL_BLOCK])
+    def test_block_lengths(self, n):
+        rng = np.random.default_rng(n)
+        masses = rng.random(n) / n
+        masses[::7] = 0.0
+        lat = LatticeDistribution(Fraction(1, 4), -5, masses, 0.0)
+        assert_tails_are_fsum(lat, range(n))
+
+    @given(mass_vectors())
+    @settings(max_examples=40, deadline=None)
+    def test_random_exponents_and_subnormals(self, masses):
+        lat = LatticeDistribution(Fraction(1), 0, masses, 0.0)
+        assert_tails_are_fsum(lat, range(len(masses)))
+
+    def test_caps_at_one(self):
+        lat = LatticeDistribution(Fraction(1), 0, np.full(3 * _TAIL_BLOCK, 0.01), 0.0)
+        assert lat.tail(-1.0) == 1.0
+        assert_tails_are_fsum(lat, table_indices(len(lat), 5))
+
+
 class TestMonteCarlo:
     def test_seed_determinism(self):
         m = rademacher_model(50)
@@ -257,6 +333,22 @@ class TestMonteCarlo:
     def test_invalid_samples(self):
         with pytest.raises(ParameterError):
             mc_tail(rademacher_model(5), 0.0, True, 0, 1)
+
+    def test_nan_threshold_rejected(self):
+        for estimator in (mc_tail, tilted_mc_tail):
+            with pytest.raises(ParameterError):
+                estimator(rademacher_model(5), math.nan, True, 10, 1)
+
+    def test_chunked_draws_match_one_draw(self):
+        # rows drawn chunk by chunk consume each Philox stream exactly as one
+        # n-row multinomial call does
+        comps = [(d.values, d.probs, m) for d, m in ((rademacher(), 20), (FIVE_ATOM, 7))]
+        n = 2 * _MC_CHUNK + 12345
+        for seed in (0, 2**20 + 3):
+            ref = np.zeros(n)
+            for ci, (values, probs, mult) in enumerate(comps):
+                ref += _component_rng(seed, ci).multinomial(mult, probs, size=n) @ values
+            assert np.array_equal(_sample_sums(comps, n, seed), ref)
 
     def test_stream_split_rule(self):
         # the documented rule: component ci draws from Philox key (seed, ci)

@@ -29,13 +29,11 @@ from sharptail import (
 from sharptail._tiltmath import tilted_stats
 from sharptail.errors import NoSaddlepointError, ParameterError
 
-from conftest import random_model, sum_models
+from conftest import FIVE_ATOM, random_model, sum_models
 
 ATANH_01 = 0.1003353477310755806357          # atanh(0.1), 40-digit value
 CHERNOFF_RAD_100_1 = 0.6060233970676034738573  # exp(100 log cosh(atanh .1) - 10 atanh .1)
 
-FIVE_ATOM = DiscreteDistribution(
-    ((-0.75, 0.17), (-0.25, 0.35), (0.05, 0.2), (0.5, 0.15), (1.0, 0.13)))
 SKEWED = DiscreteDistribution(((-0.25, 0.8), (1.0, 0.2)))
 
 
@@ -177,6 +175,20 @@ class TestSaddlepoint:
         for t, sp in zip(targets, solve_targets(m, targets)):
             assert sp is not None
             assert abs(cumulant_deriv(m, sp.lam) - t) <= 1e-12 * max(1.0, t)
+
+    def test_small_targets_on_wide_model(self):
+        # 10^4 summands of +-2.25: below t = 1 the rounding noise of cum' (about
+        # eps * 22500) is above 1e-12, so the gate is floored at that noise
+        m = SumModel(((DiscreteDistribution(((-2.25, 0.5), (2.25, 0.5))), 10000),))
+        targets = 10 ** np.linspace(-6, -0.1, 200)
+        sps = solve_targets(m, targets)
+        assert all(sp is not None for sp in sps)
+        noise = 4 * np.finfo(float).eps * 22500
+        with mpmath.workdps(50):
+            for t, sp in zip(targets, sps):
+                # exact cum'(lam) = 22500 tanh(2.25 lam) at the returned root
+                resid = 22500 * mpmath.tanh(mpmath.mpf(2.25) * sp.lam) - mpmath.mpf(t)
+                assert abs(float(resid)) <= max(1e-12 * max(1.0, t), noise), t
 
     def test_batch_matches_scalar_bitwise(self):
         targets = [x * mixed_model().sigma for x in np.linspace(0, 8, 41)]
