@@ -242,6 +242,8 @@ def cmd_ratio(args) -> int:
         raise ParameterError("all n must be >= 1")
     if args.points < 1:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
+    if not math.isfinite(args.x_max):
+        raise ParameterError(f"--x-max must be finite, got {args.x_max}")
     rows = ratio_rows(n_list, args.x_max, args.points)
     header = ["n", "x", "exact_tail", "theta_hoeffding", "ratio"]
     emit = _emit_csv if args.format == "csv" else _emit_json
@@ -372,6 +374,8 @@ def cmd_rate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mc(args) -> int:
+    if not math.isfinite(args.x):
+        raise ParameterError(f"--x must be finite, got {args.x}")
     model = load_model(args.model)
     strict = not args.nonstrict
     threshold = args.x * model.sigma

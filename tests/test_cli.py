@@ -3,13 +3,24 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import sharptail
 import sharptail.cli as cli
-from sharptail import build_lattice, extremal_model, model_to_dict, rademacher_model
+from sharptail import (
+    SumModel,
+    build_lattice,
+    extremal_model,
+    hoeffding_extremal,
+    model_to_dict,
+    rademacher,
+    rademacher_model,
+)
 from sharptail.cli import main
+
+from conftest import FIVE_ATOM
 
 
 @pytest.fixture
@@ -178,6 +189,16 @@ class TestRatioCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("x_max", ["inf", "-inf", "nan"])
+    def test_non_finite_x_max_exit_2(self, capsys, x_max):
+        # a numpy warning from linspace would raise here instead of leaking
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["ratio", "--n-list", "10", f"--x-max={x_max}"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --x-max must be finite, got {x_max}"]
+
 
 class TestVerifyCommand:
     def test_rademacher_passes(self, capsys, rad_file):
@@ -272,7 +293,7 @@ class TestMcCommand:
         path = tmp_path / "rad400.json"
         path.write_text(json.dumps(model_to_dict(rademacher_model(400))))
         code, out, _ = run(capsys, [
-            "mc", "--model", str(path), "--x", "4.0", "--samples", "10000", "--seed", "1",
+            "mc", "--model", str(path), "--x", "6.0", "--samples", "10000", "--seed", "1",
         ])
         payload = json.loads(out)
         assert payload["estimate"]["p"] == 0.0
@@ -286,6 +307,30 @@ class TestMcCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "nan" in err
+
+    @pytest.mark.parametrize("method", ["mc", "tilted"])
+    @pytest.mark.parametrize("x", ["inf", "-inf"])
+    def test_infinite_threshold_exit_2(self, capsys, rad_file, method, x):
+        code, out, err = run(capsys, [
+            "mc", "--model", rad_file, f"--x={x}", "--samples", "100", "--method", method,
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --x must be finite, got {x}"]
+
+    @pytest.mark.parametrize("method", ["mc", "tilted"])
+    def test_json_identical_across_chunk_sizes(self, capsys, monkeypatch, tmp_path, method):
+        # two alias-table blocks and one multinomial fallback (its table would
+        # take 214625 cell updates for 20000 draws)
+        model = SumModel(((rademacher(), 40), (FIVE_ATOM, 50), (hoeffding_extremal(0.25), 30)))
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        argv = ["mc", "--model", str(path), "--x", "1.5", "--samples", "20000",
+                "--seed", "12", "--method", method]
+        _, ref, _ = run(capsys, argv)
+        for chunk in (1000, 4096, 5000, 1 << 16):
+            monkeypatch.setattr(sharptail.oracle, "_MC_CHUNK", chunk)
+            assert run(capsys, argv) == (0, ref, "")
 
 
 def test_import_leaves_out_scipy_optimize():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -24,15 +25,21 @@ from sharptail import (
     tilted_mc_tail,
 )
 from sharptail.errors import HypothesisError, ParameterError, UnsupportedModelError
+from sharptail import oracle
 from sharptail.oracle import (
     _MC_CHUNK,
     _TAIL_BLOCK,
     LatticeDistribution,
+    _alias_columns,
+    _AliasTable,
     _binomial_masses,
     _component_rng,
+    _component_sampler,
     _fold_strided,
     _lattice_layout,
+    _Multinomial,
     _sample_sums,
+    build_tilted_lattice,
     convolve_repeat,
 )
 
@@ -340,15 +347,29 @@ class TestMonteCarlo:
                 estimator(rademacher_model(5), math.nan, True, 10, 1)
 
     def test_chunked_draws_match_one_draw(self):
-        # rows drawn chunk by chunk consume each Philox stream exactly as one
-        # n-row multinomial call does
-        comps = [(d.values, d.probs, m) for d, m in ((rademacher(), 20), (FIVE_ATOM, 7))]
+        # a multinomial fallback draws its rows chunk by chunk, consuming each
+        # Philox stream exactly as one n-row multinomial call does
         n = 2 * _MC_CHUNK + 12345
+        comps = [(hoeffding_extremal(0.5 + 2.0**-40), 20), (FIVE_ATOM, 50)]
+        samplers = [_component_sampler(d, m, n) for d, m in comps]
+        assert all(isinstance(s, _Multinomial) for s in samplers)
         for seed in (0, 2**20 + 3):
             ref = np.zeros(n)
-            for ci, (values, probs, mult) in enumerate(comps):
-                ref += _component_rng(seed, ci).multinomial(mult, probs, size=n) @ values
-            assert np.array_equal(_sample_sums(comps, n, seed), ref)
+            for ci, (d, mult) in enumerate(comps):
+                counts = _component_rng(seed, ci).multinomial(mult, d.probs, size=n)
+                ref += sum(counts[:, k] * v for k, v in enumerate(d.values))
+            assert np.array_equal(np.concatenate(list(_sample_sums(samplers, n, seed))), ref)
+
+    def test_sums_do_not_depend_on_chunk_size(self, monkeypatch):
+        n = 3 * _MC_CHUNK + 777
+        comps = [(rademacher(), 20), (FIVE_ATOM, 7), (FIVE_ATOM, 50)]
+        samplers = [_component_sampler(d, m, n) for d, m in comps]
+        assert [type(s) for s in samplers] == [_AliasTable, _AliasTable, _Multinomial]
+        ref = np.concatenate(list(_sample_sums(samplers, n, 5)))
+        for chunk, rows in ((1, 300), (1000, n), (4096, n), (12345, n), (n, n), (4 * n, n)):
+            monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+            got = np.concatenate(list(_sample_sums(samplers, rows, 5)))
+            assert np.array_equal(got, ref[:rows])
 
     def test_stream_split_rule(self):
         # the documented rule: component ci draws from Philox key (seed, ci)
@@ -356,6 +377,113 @@ class TestMonteCarlo:
         r1 = _component_rng(7, 1).integers(0, 2**31)
         again = _component_rng(7, 0).integers(0, 2**31)
         assert r0 == again and r0 != r1
+
+
+def table_pmf(table):
+    """Each column's own probability plus what other columns alias to it, over N."""
+    n = len(table.prob)
+    return (table.prob + np.bincount(table.alias, 1.0 - table.prob, n)) / n
+
+
+#: the three blocks of the benchmark's mix600 model
+MIX600 = ((rademacher(), 200), (hoeffding_extremal(0.25), 300), (FIVE_ATOM, 100))
+
+
+class TestAliasSampler:
+    @pytest.mark.parametrize("dist,mult,lam", [
+        (rademacher(), 200, None),
+        (hoeffding_extremal(0.25), 300, None),
+        (FIVE_ATOM, 7, None),
+        (FIVE_ATOM, 7, 0.9),
+    ])
+    def test_table_rebuilds_lattice_law(self, dist, mult, lam):
+        one = SumModel(((dist, mult),))
+        lat = build_lattice(one) if lam is None else build_tilted_lattice(one, lam)
+        table = _component_sampler(dist, mult, 10**6, lam)
+        assert isinstance(table, _AliasTable)
+        pos = np.flatnonzero(lat.masses > 0.0)
+        np.testing.assert_allclose(table_pmf(table), lat.masses[pos], rtol=1e-12, atol=0.0)
+        # each value is the exact rational sum, rounded once
+        assert table.values.tolist() == [lat.value(int(k)) for k in pos]
+
+    @given(hst.lists(hst.tuples(hst.floats(0.5, 1.0), hst.integers(-1000, 0)),
+                     min_size=1, max_size=600))
+    @settings(max_examples=60, deadline=None)
+    def test_alias_columns_any_masses(self, parts):
+        masses = np.array([math.ldexp(m, e) for m, e in parts])
+        prob, alias = _alias_columns(masses)
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        want = masses / masses.sum()
+        got = (prob + np.bincount(alias, 1.0 - prob, len(masses))) / len(masses)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_draws_follow_table(self):
+        lat = build_lattice(SumModel(((FIVE_ATOM, 2),)))
+        table = _component_sampler(FIVE_ATOM, 2, 10**5)
+        pos = np.flatnonzero(lat.masses > 0.0)
+        draws = table.draw(_component_rng(3, 0), 10**5)
+        counts = np.array([np.count_nonzero(draws == v) for v in table.values])
+        assert counts.sum() == 10**5
+        expected = 10**5 * lat.masses[pos]
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # 15 points: chi-square with 14 degrees of freedom, 36.1 is its 0.999 quantile
+        assert chi2 < 36.1
+
+    def test_mix600_blocks_take_the_table(self):
+        assert all(isinstance(_component_sampler(d, m, 10**6), _AliasTable) for d, m in MIX600)
+
+    def test_quantized_atom_falls_back(self):
+        # -(1/2 + 2^-40) snaps to -1/2 on the rational grid
+        dist = hoeffding_extremal(0.5 + 2.0**-40)
+        m = SumModel(((dist, 40),))
+        assert build_lattice(m).quantization_error > 0.0
+        assert isinstance(_component_sampler(dist, 40, 10**6), _Multinomial)
+        thr = m.sigma
+        exact = build_lattice(m).tail(thr, True)
+        for est in (mc_tail(m, thr, True, 20000, 4), tilted_mc_tail(m, thr, True, 20000, 4)):
+            assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
+
+    def test_table_dearer_than_draws_falls_back(self):
+        # 5 * (50 + 35 * 50 * 49 / 2) = 214625 shift-add cell updates
+        assert isinstance(_component_sampler(FIVE_ATOM, 50, 214625), _AliasTable)
+        assert isinstance(_component_sampler(FIVE_ATOM, 50, 214624), _Multinomial)
+        assert isinstance(_component_sampler(rademacher(), 200, 201), _AliasTable)
+        assert isinstance(_component_sampler(rademacher(), 200, 200), _Multinomial)
+        m = SumModel(((FIVE_ATOM, 50),))
+        thr = m.sigma
+        exact = build_lattice(m).tail(thr, True)
+        for est in (mc_tail(m, thr, True, 10**5, 6), tilted_mc_tail(m, thr, True, 10**5, 6)):
+            assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
+
+    def test_unsupported_lattice_falls_back(self, monkeypatch):
+        m = rademacher_model(200)
+        exact = build_lattice(m).tail(10.0, True)
+        monkeypatch.setattr(oracle, "MAX_LATTICE_POINTS", 100)
+        with pytest.raises(UnsupportedModelError):
+            build_lattice(m)
+        assert isinstance(_component_sampler(rademacher(), 200, 10**5), _Multinomial)
+        for est in (mc_tail(m, 10.0, True, 20000, 8), tilted_mc_tail(m, 10.0, True, 20000, 8)):
+            assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # one table block and one multinomial block; the draws are streamed,
+        # so 16 chunks of samples need no more memory than 2
+        m = SumModel(((rademacher(), 40), (FIVE_ATOM, 60)))
+        thr = 2.0 * m.sigma
+
+        def peak(estimator, n):
+            tracemalloc.start()
+            try:
+                estimator(m, thr, True, n, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for estimator in (mc_tail, tilted_mc_tail):
+            small = peak(estimator, 2 * _MC_CHUNK)
+            large = peak(estimator, 16 * _MC_CHUNK)
+            # the sums alone of 16 chunks would take 8 * 16 * _MC_CHUNK bytes
+            assert large <= 1.1 * small, (estimator.__name__, small, large)
 
 
 class TestTiltedMonteCarlo:
