@@ -168,11 +168,8 @@ def _solve_into(model: SumModel, targets: list[float], record: dict) -> None:
                 for i in np.flatnonzero(finished):
                     ti, lami, psii = float(t[i]), float(lam[i]), float(psi[i])
                     if abs(resid[i]) <= tol[i]:
-                        record[ti] = Saddlepoint(
-                            lam=lami, cumulant_value=psii,
-                            log_bound=min(0.0, psii - lami * ti),
-                            bracket_width=float(hi[i] - lo[i]), variance=float(d2[i]),
-                        )
+                        record[ti] = _accepted(ti, lami, psii, float(hi[i] - lo[i]),
+                                               float(d2[i]))
                     else:
                         record[ti] = _stalled(resid[i], lami)
                 keep = ~finished
@@ -183,8 +180,22 @@ def _solve_into(model: SumModel, targets: list[float], record: dict) -> None:
             last_rel = np.where(newton, rel, np.inf)
             lam = nxt
             cums = packed_cumulants(values, probs, mults, lam)
-    for ti, lami, resid in zip(t.tolist(), lam.tolist(), (cums[1] - t).tolist()):
-        record[ti] = _stalled(resid, lami)
+    # Newton steps of a tiny lam can be rounding noise of cum' that is large
+    # relative to lam, so a point may pass the residual gate without ever
+    # meeting a step test; out of passes, it is as converged as it can get
+    psi, d1, d2 = cums
+    for i, resid in enumerate((d1 - t).tolist()):
+        ti, lami = float(t[i]), float(lam[i])
+        if abs(resid) <= tol[i]:
+            record[ti] = _accepted(ti, lami, float(psi[i]), float(hi[i] - lo[i]),
+                                   float(d2[i]))
+        else:
+            record[ti] = _stalled(resid, lami)
+
+
+def _accepted(t: float, lam: float, psi: float, width: float, variance: float) -> Saddlepoint:
+    return Saddlepoint(lam=lam, cumulant_value=psi, log_bound=min(0.0, psi - lam * t),
+                       bracket_width=width, variance=variance)
 
 
 def _stalled(resid: float, lam: float) -> str:

@@ -350,7 +350,7 @@ class TestMonteCarlo:
         # a multinomial fallback draws its rows chunk by chunk, consuming each
         # Philox stream exactly as one n-row multinomial call does
         n = 2 * _MC_CHUNK + 12345
-        comps = [(hoeffding_extremal(0.5 + 2.0**-40), 20), (FIVE_ATOM, 50)]
+        comps = [(hoeffding_extremal(0.5 + 2.0**-40), 20), (FIVE_ATOM, 400)]
         samplers = [_component_sampler(d, m, n) for d, m in comps]
         assert all(isinstance(s, _Multinomial) for s in samplers)
         for seed in (0, 2**20 + 3):
@@ -362,7 +362,7 @@ class TestMonteCarlo:
 
     def test_sums_do_not_depend_on_chunk_size(self, monkeypatch):
         n = 3 * _MC_CHUNK + 777
-        comps = [(rademacher(), 20), (FIVE_ATOM, 7), (FIVE_ATOM, 50)]
+        comps = [(rademacher(), 20), (FIVE_ATOM, 7), (FIVE_ATOM, 400)]
         samplers = [_component_sampler(d, m, n) for d, m in comps]
         assert [type(s) for s in samplers] == [_AliasTable, _AliasTable, _Multinomial]
         ref = np.concatenate(list(_sample_sums(samplers, n, 5)))
@@ -395,6 +395,7 @@ class TestAliasSampler:
         (hoeffding_extremal(0.25), 300, None),
         (FIVE_ATOM, 7, None),
         (FIVE_ATOM, 7, 0.9),
+        (hoeffding_extremal(0.25), 300, 0.5),
     ])
     def test_table_rebuilds_lattice_law(self, dist, mult, lam):
         one = SumModel(((dist, mult),))
@@ -429,8 +430,33 @@ class TestAliasSampler:
         # 15 points: chi-square with 14 degrees of freedom, 36.1 is its 0.999 quantile
         assert chi2 < 36.1
 
-    def test_mix600_blocks_take_the_table(self):
-        assert all(isinstance(_component_sampler(d, m, 10**6), _AliasTable) for d, m in MIX600)
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_mix600_blocks_take_the_table(self, n):
+        # 10^5 is the CLI's default --samples
+        assert all(isinstance(_component_sampler(d, m, n), _AliasTable) for d, m in MIX600)
+
+    def test_wide_two_atom_block_skips_the_lattice(self):
+        # atoms -0.123457 and 1 sit 1123457 steps of 10^-6 apart: 80 copies
+        # would span a 9e7-point lattice, the binomial needs 81 points
+        dist = hoeffding_extremal(0.123457)
+        tracemalloc.start()
+        try:
+            table = _component_sampler(dist, 80, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(table, _AliasTable)
+        assert peak < 10**5
+        np.testing.assert_allclose(table_pmf(table), _binomial_masses(*dist.probs, 80),
+                                   rtol=1e-12, atol=0.0)
+        lo, hi = (Fraction(v).limit_denominator(10**6) for v in dist.values)
+        assert table.values.tolist() == [float(80 * lo + k * (hi - lo)) for k in range(81)]
+        m = SumModel(((dist, 80),))
+        thr = 3.0 * m.sigma
+        exact = math.fsum(w for k, w in enumerate(_binomial_masses(*dist.probs, 80))
+                          if table.values[k] > thr)
+        for est in (mc_tail(m, thr, True, 10**5, 9), tilted_mc_tail(m, thr, True, 10**5, 9)):
+            assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
 
     def test_quantized_atom_falls_back(self):
         # -(1/2 + 2^-40) snaps to -1/2 on the rational grid
@@ -444,31 +470,39 @@ class TestAliasSampler:
             assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
 
     def test_table_dearer_than_draws_falls_back(self):
-        # 5 * (50 + 35 * 50 * 49 / 2) = 214625 shift-add cell updates
-        assert isinstance(_component_sampler(FIVE_ATOM, 50, 214625), _AliasTable)
-        assert isinstance(_component_sampler(FIVE_ATOM, 50, 214624), _Multinomial)
-        assert isinstance(_component_sampler(rademacher(), 200, 201), _AliasTable)
-        assert isinstance(_component_sampler(rademacher(), 200, 200), _Multinomial)
+        # FIVE_ATOM's atoms span 35 steps of 1/20; rademacher's span 2 of 1
+        for dist, mult, span in ((FIVE_ATOM, 50, 35), (rademacher(), 200, 2)):
+            k = len(dist.values)
+            build_ns = oracle._table_build_ns(k, span, mult)
+            least = -(-build_ns // ((k - 1) * oracle._BINOMIAL_NS))
+            assert isinstance(_component_sampler(dist, mult, least), _AliasTable)
+            assert isinstance(_component_sampler(dist, mult, least - 1), _Multinomial)
         m = SumModel(((FIVE_ATOM, 50),))
         thr = m.sigma
         exact = build_lattice(m).tail(thr, True)
-        for est in (mc_tail(m, thr, True, 10**5, 6), tilted_mc_tail(m, thr, True, 10**5, 6)):
+        assert isinstance(_component_sampler(FIVE_ATOM, 50, 1000), _Multinomial)
+        for est in (mc_tail(m, thr, True, 1000, 6), tilted_mc_tail(m, thr, True, 1000, 6)):
             assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
 
     def test_unsupported_lattice_falls_back(self, monkeypatch):
-        m = rademacher_model(200)
-        exact = build_lattice(m).tail(10.0, True)
+        # FIVE_ATOM x 7 needs 246 lattice points; a two-atom table needs no
+        # lattice, so the cap does not touch it
+        m = SumModel(((FIVE_ATOM, 7),))
+        thr = m.sigma
+        exact = build_lattice(m).tail(thr, True)
         monkeypatch.setattr(oracle, "MAX_LATTICE_POINTS", 100)
         with pytest.raises(UnsupportedModelError):
             build_lattice(m)
-        assert isinstance(_component_sampler(rademacher(), 200, 10**5), _Multinomial)
-        for est in (mc_tail(m, 10.0, True, 20000, 8), tilted_mc_tail(m, 10.0, True, 20000, 8)):
+        assert isinstance(_component_sampler(FIVE_ATOM, 7, 10**5), _Multinomial)
+        assert isinstance(_component_sampler(rademacher(), 200, 10**5), _AliasTable)
+        for est in (mc_tail(m, thr, True, 20000, 8), tilted_mc_tail(m, thr, True, 20000, 8)):
             assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
 
     def test_memory_does_not_grow_with_samples(self):
-        # one table block and one multinomial block; the draws are streamed,
-        # so 16 chunks of samples need no more memory than 2
-        m = SumModel(((rademacher(), 40), (FIVE_ATOM, 60)))
+        # one table block and one multinomial block (its atom -1/2 - 2^-40 is
+        # quantized); the draws are streamed, so 16 chunks of samples need no
+        # more memory than 2
+        m = SumModel(((rademacher(), 40), (hoeffding_extremal(0.5 + 2.0**-40), 60)))
         thr = 2.0 * m.sigma
 
         def peak(estimator, n):

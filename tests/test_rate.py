@@ -176,6 +176,19 @@ class TestSaddlepoint:
             assert sp is not None
             assert abs(cumulant_deriv(m, sp.lam) - t) <= 1e-12 * max(1.0, t)
 
+    def test_tiny_target_accepted_at_pass_cap(self):
+        # at lam ~ 4e-12 each Newton step is rounding noise of cum' far larger
+        # than lam, so no step test is ever met although the residual passes
+        # the gate from the first pass; the solve used to report a stall
+        a = DiscreteDistribution(((-0.5, 0.096), (-0.25, 0.48), (0.0, 0.2), (0.75, 0.224)))
+        b = DiscreteDistribution(((-0.4, 0.4605911330049261), (0.0, 0.3103448275862069),
+                                  (0.8, 0.22413793103448276), (1.0, 0.0049261083743842365)))
+        m = SumModel(((a, 30), (b, 59)))
+        t = 1e-12 * m.max_support
+        sp = solve_target(m, t)
+        assert abs(cumulant_deriv(m, sp.lam) - t) <= 1e-12
+        assert sp.log_bound == 0.0 and 0.0 < sp.lam <= sp.bracket_width
+
     def test_small_targets_on_wide_model(self):
         # 10^4 summands of +-2.25: below t = 1 the rounding noise of cum' (about
         # eps * 22500) is above 1e-12, so the gate is floored at that noise
