@@ -35,12 +35,16 @@ def mills_ratio(x: float) -> float:
     return 0.5 * float(special.erfcx(x / math.sqrt(2.0)))
 
 
-def bennett_log(x: float, sigma: float) -> float:
-    """log of the Bennett bound."""
+def _check_x_sigma(x: float, sigma: float) -> None:
     if x < 0:
         raise ParameterError(f"x must be >= 0, got {x}")
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
+
+
+def bennett_log(x: float, sigma: float) -> float:
+    """log of the Bennett bound."""
+    _check_x_sigma(x, sigma)
     return x * sigma - (sigma * x + sigma * sigma) * math.log1p(x / sigma)
 
 
@@ -51,10 +55,7 @@ def bennett_bound(x: float, sigma: float) -> float:
 
 def hoeffding_log(x: float, sigma: float, n: int) -> float:
     """log of the Hoeffding bound; -inf beyond the support range x > n/sigma."""
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    _check_x_sigma(x, sigma)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     xs = x * sigma
@@ -78,10 +79,7 @@ def hoeffding_bound(x: float, sigma: float, n: int) -> float:
 
 def bernstein_arg(x: float, sigma: float) -> float:
     """The shrunk argument x / sqrt(1 + x/(3 sigma)) of the Bernstein exponent."""
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    _check_x_sigma(x, sigma)
     return x / math.sqrt(1.0 + x / (3.0 * sigma))
 
 

@@ -32,7 +32,9 @@ from .models import check_curvature_condition, load_model, rademacher_model
 from .oracle import build_lattice, mc_tail, tilted_mc_tail
 from .rate import chernoff_bound, fenchel_legendre, solve_target, solve_targets
 from .sharp import (
+    BOUNDS,
     C3_UNIVERSAL,
+    SharpInterval,
     expansion_interval,
     normal_tail_upper,
     saddlepoint_interval,
@@ -49,11 +51,25 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_VERIFY = 4
 
-ALL_BOUNDS = (
-    "exact", "hoeffding", "bennett", "bernstein", "chernoff", "mills",
-    "expansion", "saddlepoint", "third_moment", "two_sided",
-    "normal_shape", "subgaussian",
-)
+#: column -> its cell at x, from the model, the parsed `bounds` flags (B
+#: already defaulted) and the exact lattice: a number, or a SharpInterval for
+#: the four interval columns
+_COLUMNS = {
+    "exact": lambda m, x, a, lat: lat.tail(x * m.sigma, not a.nonstrict),
+    "hoeffding": lambda m, x, a, lat: hoeffding_bound(x, m.sigma, m.n),
+    "bennett": lambda m, x, a, lat: bennett_bound(x, m.sigma),
+    "bernstein": lambda m, x, a, lat: bernstein_bound(x, m.sigma),
+    "chernoff": lambda m, x, a, lat: chernoff_bound(m, x),
+    "mills": lambda m, x, a, lat: mills_ratio(x),
+    "expansion": lambda m, x, a, lat: expansion_interval(m, x, a.b, a.delta, a.c3),
+    "saddlepoint": lambda m, x, a, lat: saddlepoint_interval(m, x, a.delta, a.c3),
+    "third_moment": lambda m, x, a, lat: third_moment_interval(m, x),
+    "two_sided": lambda m, x, a, lat: two_sided_interval(m, x),
+    "normal_shape": lambda m, x, a, lat: normal_tail_upper(m, x),
+    "subgaussian": lambda m, x, a, lat: subgaussian_upper(m, x, a.c3),
+}
+
+ALL_BOUNDS = tuple(_COLUMNS)
 
 _INTERVALS = ("expansion", "saddlepoint", "third_moment", "two_sided")
 
@@ -108,13 +124,38 @@ def _emit_json(out, tag: str, header: list[str], rows):
 # bounds
 # ---------------------------------------------------------------------------
 
-def _interval_cells(interval):
-    if interval.valid:
-        return [interval.lower, interval.center, interval.upper, True]
-    return [None, None, interval.upper, False]
+def _cell(name, model, x, args, lattice=None):
+    """The column's value at x; None outside its range or past the
+    essential sup."""
+    try:
+        return _COLUMNS[name](model, x, args, lattice)
+    except (RangeError, NoSaddlepointError):
+        return None
+
+
+def _interval_cells(iv: SharpInterval | None) -> list:
+    if iv is None:
+        return [None, None, None, False]
+    if iv.valid:
+        return [iv.lower, iv.center, iv.upper, True]
+    return [None, None, iv.upper, False]
+
+
+def _check_constants(b: float | None, delta: float, c3: float = C3_UNIVERSAL) -> None:
+    """Reject --b, --delta or --c3 outside its domain, before any work."""
+    if b is not None and not 0.0 < b < math.inf:
+        raise ParameterError(f"--b must be positive and finite, got {b}")
+    if not 0.0 < delta <= 1.0:
+        raise ParameterError(f"--delta must lie in (0, 1], got {delta}")
+    if not 0.0 < c3 < math.inf:
+        raise ParameterError(f"--c3 must be positive and finite, got {c3}")
 
 
 def cmd_bounds(args) -> int:
+    """One cell rule for every column: a column whose model fails its
+    hypothesis (or, for `exact`, has no lattice) is an error when named and
+    blank under `all`; a cell out of range or past the essential sup is blank."""
+    _check_constants(args.b, args.delta, args.c3)
     model = load_model(args.model)
     xs = _parse_grid(args.x_grid)
     selected = ALL_BOUNDS if args.bounds == "all" else tuple(args.bounds.split(","))
@@ -122,9 +163,16 @@ def cmd_bounds(args) -> int:
         if name not in ALL_BOUNDS:
             raise ParameterError(f"unknown bound {name!r}; choose from {', '.join(ALL_BOUNDS)}")
     explicit = args.bounds != "all"
-    B = args.b if args.b is not None else model.b_ratio
-    strict = not args.nonstrict
+    if args.b is None:
+        args.b = model.b_ratio
 
+    blank = set()
+    for name in selected:
+        reason = BOUNDS[name].violation(model) if name in BOUNDS else None
+        if reason is not None:
+            if explicit:
+                raise HypothesisError(f"{name} {reason}")
+            blank.add(name)
     lattice = None
     if "exact" in selected:
         try:
@@ -133,6 +181,7 @@ def cmd_bounds(args) -> int:
             if explicit:
                 raise
             print(f"exact oracle unavailable: {exc}", file=sys.stderr)
+            blank.add("exact")
 
     header = ["x"]
     for name in selected:
@@ -140,14 +189,6 @@ def cmd_bounds(args) -> int:
             header += [f"{name}_lower", f"{name}_center", f"{name}_upper", f"{name}_valid"]
         else:
             header.append(name)
-
-    def interval_or_none(fn, name):
-        try:
-            return fn()
-        except (HypothesisError, NoSaddlepointError):
-            if explicit:
-                raise
-            return None
 
     if any(name in _SOLVED for name in selected):
         # one batched solve; the per-x calls below read its record
@@ -157,53 +198,11 @@ def cmd_bounds(args) -> int:
     for x in xs:
         row = [float(x)]
         for name in selected:
-            if name == "exact":
-                row.append(lattice.tail(x * model.sigma, strict) if lattice is not None else None)
-            elif name == "hoeffding":
-                row.append(hoeffding_bound(x, model.sigma, model.n))
-            elif name == "bennett":
-                row.append(bennett_bound(x, model.sigma))
-            elif name == "bernstein":
-                row.append(bernstein_bound(x, model.sigma))
-            elif name == "chernoff":
-                try:
-                    row.append(chernoff_bound(model, x))
-                except NoSaddlepointError:
-                    row.append(None)
-            elif name == "mills":
-                row.append(mills_ratio(x))
-            elif name == "expansion":
-                iv = interval_or_none(
-                    lambda: expansion_interval(model, x, B, args.delta, args.c3), name)
-                row += _interval_cells(iv) if iv else [None, None, None, False]
-            elif name == "saddlepoint":
-                iv = interval_or_none(
-                    lambda: saddlepoint_interval(model, x, args.delta, args.c3), name)
-                row += _interval_cells(iv) if iv else [None, None, None, False]
-            elif name == "third_moment":
-                iv = interval_or_none(lambda: third_moment_interval(model, x), name)
-                row += _interval_cells(iv) if iv else [None, None, None, False]
-            elif name == "two_sided":
-                iv = interval_or_none(lambda: two_sided_interval(model, x), name)
-                row += _interval_cells(iv) if iv else [None, None, None, False]
-            elif name == "normal_shape":
-                try:
-                    row.append(normal_tail_upper(model, x))
-                except RangeError:
-                    row.append(None)
-                except HypothesisError:
-                    if explicit:
-                        raise
-                    row.append(None)
-            elif name == "subgaussian":
-                try:
-                    row.append(subgaussian_upper(model, x, args.c3))
-                except RangeError:
-                    row.append(None)
-                except HypothesisError:
-                    if explicit:
-                        raise
-                    row.append(None)
+            value = None if name in blank else _cell(name, model, x, args, lattice)
+            if name in _INTERVALS:
+                row += _interval_cells(value)
+            else:
+                row.append(value)
         rows.append(row)
 
     emit = _emit_csv if args.format == "csv" else _emit_json
@@ -273,70 +272,44 @@ def verify_report(model, B: float, delta: float, lambda_grid=None,
     try:
         lattice = build_lattice(model)
     except UnsupportedModelError as exc:
-        lattice = None
         report["oracle"] = {"skipped": True, "reason": str(exc)}
+        report["ok"] = not failures
+        return report
 
-    approx = []
-    for lam in (0.0, 0.05, 0.1):
-        if lattice is None:
-            break
-        rep = berry_esseen_tilted(model, lam, delta)
-        approx.append(rep.to_dict())
-        failures = failures or not rep.holds
-    if approx:
-        report["normal_approx"] = approx
+    approx = [berry_esseen_tilted(model, lam, delta) for lam in (0.0, 0.05, 0.1)]
+    report["normal_approx"] = [rep.to_dict() for rep in approx]
+    failures = failures or not all(rep.holds for rep in approx)
 
-    if lattice is not None:
-        sigma = model.sigma
-        checks = []
-        builders = []
-        if model.a_max <= 1.0 + 1e-12:
-            builders.append(("expansion",
-                             lambda x: expansion_interval(model, x, B, delta),
-                             0.25 * sigma / B * (1 - 1e-9)))
-            builders.append(("third_moment",
-                             lambda x: third_moment_interval(model, x),
-                             0.1 * sigma / model.b_ratio))
+    flags = argparse.Namespace(b=B, delta=delta, c3=C3_UNIVERSAL)
+    checks, grids = [], {}
+    for name in ("expansion", "third_moment", "two_sided", "saddlepoint"):
+        reason = BOUNDS[name].violation(model)
+        if reason is not None:
+            checks.append({"name": name, "skipped": True, "reason": reason})
         else:
-            checks.append({"name": "expansion", "skipped": True,
-                           "reason": "needs xi_i <= 1"})
-            checks.append({"name": "third_moment", "skipped": True,
-                           "reason": "needs xi_i <= 1"})
-        if model.a_max <= 1.0 + 1e-12 and model.lower_min >= -1.0 - 1e-12:
-            builders.append(("two_sided", lambda x: two_sided_interval(model, x),
-                             0.606 * sigma))
-        else:
-            checks.append({"name": "two_sided", "skipped": True,
-                           "reason": "needs |xi_i| <= 1"})
-        builders.append(("saddlepoint",
-                         lambda x: saddlepoint_interval(model, x, delta),
-                         0.9 * model.max_support / sigma))
-        grids = [np.linspace(0.0, xmax, containment_points) for _, _, xmax in builders]
-        # every grid in one batched solve; the intervals read its record
-        solve_targets(model, [x * sigma for xs in grids for x in xs])
-        for (name, fn, _), xs in zip(builders, grids):
-            worst = math.inf
-            ok = True
-            for x in xs:
-                try:
-                    iv = fn(x)
-                except NoSaddlepointError:
-                    continue
-                if not iv.valid:
-                    continue
-                p = lattice.tail(x * sigma, strict=True)
-                ok = ok and iv.lower <= p <= iv.upper
-                worst = min(worst, iv.upper - p, p - iv.lower)
-            checks.append({"name": name, "holds": ok,
-                           "worst_margin": None if worst is math.inf else worst})
-            failures = failures or not ok
-        report["containment"] = checks
-
+            grids[name] = np.linspace(0.0, BOUNDS[name].check_end(model, B), containment_points)
+    # every grid in one batched solve; the intervals read its record
+    solve_targets(model, [x * model.sigma for xs in grids.values() for x in xs])
+    for name, xs in grids.items():
+        worst = math.inf
+        ok = True
+        for x in xs:
+            iv = _cell(name, model, x, flags)
+            if iv is None or not iv.valid:
+                continue
+            p = lattice.tail(x * model.sigma, strict=True)
+            ok = ok and iv.lower <= p <= iv.upper
+            worst = min(worst, iv.upper - p, p - iv.lower)
+        checks.append({"name": name, "holds": ok,
+                       "worst_margin": None if worst is math.inf else worst})
+        failures = failures or not ok
+    report["containment"] = checks
     report["ok"] = not failures
     return report
 
 
 def cmd_verify(args) -> int:
+    _check_constants(args.b, args.delta)
     model = load_model(args.model)
     B = args.b if args.b is not None else model.b_ratio
     grid = _parse_grid(args.grid) if args.grid else None
@@ -467,15 +440,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ModelError, ParameterError, UnsupportedModelError, OSError) as exc:
+    except (ModelError, ParameterError, UnsupportedModelError, NoSaddlepointError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except NoSaddlepointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

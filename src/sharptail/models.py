@@ -22,6 +22,9 @@ from .errors import ModelError, ParameterError
 
 MEAN_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
+#: slack on every hypothesis check: a constant that meets its cap up to
+#: rounding still satisfies the hypothesis
+HYP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -224,6 +227,23 @@ def moment_profile(model: SumModel, delta: float) -> MomentProfile:
     )
 
 
+#: support hypothesis -> (its test, the reason a model that fails it is
+#: skipped): xi_i <= 1, |xi_i| <= 1 and xi_i <= sigma_i, for every summand
+_SUPPORT = {
+    "upper": (lambda m: m.a_max <= 1.0 + HYP_TOL, "needs xi_i <= 1"),
+    "abs": (lambda m: m.a_max <= 1.0 + HYP_TOL and m.lower_min >= -1.0 - HYP_TOL,
+            "needs |xi_i| <= 1"),
+    "sigma": (lambda m: all(d.upper <= math.sqrt(d.variance) + HYP_TOL for d, _ in m.components),
+              "needs xi_i <= sigma_i for every component"),
+}
+
+
+def support_violation(model: SumModel, hypothesis: str) -> str | None:
+    """None when `model` satisfies the support hypothesis, else the reason."""
+    holds, reason = _SUPPORT[hypothesis]
+    return None if holds(model) else reason
+
+
 def rademacher_model(n: int) -> SumModel:
     return SumModel(((rademacher(), n),))
 
@@ -258,7 +278,7 @@ def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
     """Verify the lower-curvature condition on a tilt grid.
 
     For each lam the margin is sum_i E xi_i^2 e^(lam xi_i) - (1 - B lam) sigma^2;
-    the condition holds when the worst margin is >= -1e-12 * sigma^2.  The grid
+    the condition holds when the worst margin is >= -HYP_TOL * sigma^2.  The grid
     check is a surrogate for the all-lam statement; for delta = 1 the exact
     sufficient criterion is :func:`curvature_condition_from_moments`.
     """
@@ -277,7 +297,7 @@ def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
     margins = lhs - (1.0 - B * grid) * model.sigma2
     k = int(np.argmin(margins))
     return CurvatureReport(
-        holds=bool(margins[k] >= -1e-12 * model.sigma2),
+        holds=bool(margins[k] >= -HYP_TOL * model.sigma2),
         worst_margin=float(margins[k]),
         worst_lambda=float(grid[k]),
         B=float(B),
@@ -288,7 +308,7 @@ def curvature_condition_from_moments(model: SumModel, B: float) -> bool:
     """Exact sufficient criterion for delta = 1: E|xi_i|^3 <= B E xi_i^2 for all i."""
     if not B > 0:
         raise ParameterError(f"B must be positive, got {B}")
-    return all(abs_moment(d, 3) <= B * d.variance * (1 + 1e-12) for d, _ in model.components)
+    return all(abs_moment(d, 3) <= B * d.variance * (1 + HYP_TOL) for d, _ in model.components)
 
 
 # ---------------------------------------------------------------------------

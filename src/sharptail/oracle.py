@@ -30,7 +30,7 @@ depend on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from ._tiltmath import tilted_stats
 from .errors import HypothesisError, ParameterError, UnsupportedModelError
-from .models import SumModel, extremal_model
+from .models import SumModel, extremal_model, support_violation
 from .rate import solve_target
 
 #: largest denominator used when snapping atom values to a rational grid
@@ -88,15 +88,9 @@ class TailEstimate:
     lam: float | None = None  # tilt used by the importance sampler
 
     def to_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "stderr": self.stderr,
-            "method": self.method,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
-        if self.lam is not None:
-            out["lam"] = self.lam
+        out = asdict(self)
+        if self.lam is None:
+            del out["lam"]
         return out
 
 
@@ -655,8 +649,9 @@ def bentkus_bound(model: SumModel, x: float) -> float:
     """
     if x < 0:
         raise ParameterError(f"x must be >= 0, got {x}")
-    if model.a_max > 1.0 + 1e-12:
-        raise HypothesisError("needs xi_i <= 1 for every component")
+    reason = support_violation(model, "upper")
+    if reason is not None:
+        raise HypothesisError(reason)
     v = model.sigma2 / model.n
     ref = extremal_model(v, model.n)
     lat = build_lattice(ref)

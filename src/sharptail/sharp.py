@@ -11,14 +11,13 @@ capped Hoeffding upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from .classical import SQRT_2PI, SQRT_PI, bernstein_arg, hoeffding_bound, mills_ratio, normal_cdf
 from .errors import HypothesisError, ParameterError, RangeError
-from .models import SumModel
+from .models import HYP_TOL, SumModel, support_violation
 from .rate import chernoff_bound, solve_saddlepoint
-
-_HYP_TOL = 1e-12
 
 #: Berry-Esseen constants for third-moment normalization: the universal one,
 #: the identically-distributed refinement, the binomial refinement, and the
@@ -85,30 +84,82 @@ class SharpInterval:
         return self.lower <= p <= self.upper
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "x": self.x,
-            "lower": self.lower,
-            "center": self.center,
-            "upper": self.upper,
-            "band": self.band,
-            "t_param": self.t_param,
-            "range_limit": self.range_limit,
-            "valid": self.valid,
-            "constants": dict(self.constants),
-        }
-        if self.note is not None:
-            out["note"] = self.note
+        out = asdict(self)
+        if self.note is None:
+            del out["note"]
         return out
 
 
-def _flagged(name, model, x, range_limit, constants, note):
+@dataclass(frozen=True)
+class BoundSpec:
+    """One sharp bound's hypotheses and admissible x-range, stated once.
+
+    `support` names its support hypothesis (see
+    :func:`sharptail.models.support_violation`), if any.  With `ratio_b`, B
+    is the third-moment ratio constant: the model's by default, never below
+    it.  `limit(model, B)` ends the x-range, excluding the end when `open`.
+    A bound with an unlimited range has a `horizon(model, B)` up to which
+    `verify` checks it instead.
+    """
+
+    name: str
+    support: str | None = None
+    ratio_b: bool = False
+    limit: Callable[[SumModel, float], float] = lambda model, B: math.inf
+    open: bool = False
+    horizon: Callable[[SumModel, float], float] | None = None
+
+    def violation(self, model: SumModel) -> str | None:
+        """Why `model` fails the support hypothesis; None when it holds."""
+        return None if self.support is None else support_violation(model, self.support)
+
+    def admit(self, model: SumModel, x: float, B: float | None = None):
+        """Check x and the hypotheses; return (B, end of the x-range, whether
+        x lies in the range)."""
+        if x < 0:
+            raise ParameterError(f"x must be >= 0, got {x}")
+        reason = self.violation(model)
+        if reason is not None:
+            raise HypothesisError(reason)
+        if self.ratio_b and B is None:
+            B = model.b_ratio
+        elif self.ratio_b and B < model.b_ratio * (1 - HYP_TOL):
+            raise HypothesisError(f"B = {B} is below the third-moment ratio {model.b_ratio:.6g}")
+        limit = self.limit(model, B)
+        return B, limit, x < limit if self.open else x <= limit
+
+    def check_end(self, model: SumModel, B: float) -> float:
+        """Last x of the `verify` containment grid for curvature constant B
+        (a ratio-constant bound takes the model's): the range end, just
+        inside it when open, else the horizon."""
+        if self.horizon is not None:
+            return self.horizon(model, B)
+        end = self.limit(model, model.b_ratio if self.ratio_b else B)
+        return end * (1 - 1e-9) if self.open else end
+
+
+EXPANSION = BoundSpec("expansion", support="upper",
+                      limit=lambda m, B: 0.25 * m.sigma / B, open=True)
+SADDLEPOINT = BoundSpec("saddlepoint", horizon=lambda m, B: 0.9 * m.max_support / m.sigma)
+THIRD_MOMENT = BoundSpec("third_moment", support="upper", ratio_b=True,
+                         limit=lambda m, B: 0.1 * m.sigma / B)
+TWO_SIDED = BoundSpec("two_sided", support="abs", limit=lambda m, B: 0.606 * m.sigma)
+NORMAL_SHAPE = BoundSpec("normal_shape", support="upper", ratio_b=True, limit=THIRD_MOMENT.limit)
+SUBGAUSSIAN = BoundSpec("subgaussian", support="sigma", ratio_b=True,
+                        limit=EXPANSION.limit, open=True)
+
+#: every sharp bound's declaration, by name
+BOUNDS = {spec.name: spec for spec in (
+    EXPANSION, SADDLEPOINT, THIRD_MOMENT, TWO_SIDED, NORMAL_SHAPE, SUBGAUSSIAN)}
+
+
+def _flagged(name, model, x, range_limit, constants):
     """Out-of-range fallback: only the capped Hoeffding bound is asserted."""
     h = hoeffding_bound(x, model.sigma, model.n)
     return SharpInterval(
         name=name, x=x, lower=0.0, center=math.nan, upper=min(1.0, h),
         band=math.inf, t_param=math.nan, range_limit=range_limit,
-        valid=False, constants=constants, note=note,
+        valid=False, constants=constants, note="x out of range",
     )
 
 
@@ -138,16 +189,19 @@ def expansion_error(model: SumModel, x: float, B: float, delta: float = 1.0,
     )
 
 
-def _interval_from_band(name, model, x, theta, band, t, limit, constants, note=None):
+def _interval_from_band(name, model, x, theta, band, t, limit, constants):
     ch = chernoff_bound(model, x)
-    h = hoeffding_bound(x, model.sigma, model.n)
+    # Hoeffding's bound needs xi_i <= 1
+    h = 1.0 if support_violation(model, "upper") else hoeffding_bound(x, model.sigma, model.n)
     center = theta * ch
     upper = min((theta + band) * ch, min(1.0, theta + band) * h, 1.0)
-    lower = max(0.0, (theta - band) * ch)
+    # on the extremal law h equals ch up to rounding, so a band of a few ulps
+    # (from a tiny constant C) could put the lower end above the upper
+    lower = min(upper, max(0.0, (theta - band) * ch))
     return SharpInterval(
         name=name, x=x, lower=lower, center=center, upper=upper,
         band=band * ch, t_param=t, range_limit=limit, valid=True,
-        constants=constants, note=note,
+        constants=constants,
     )
 
 
@@ -160,14 +214,10 @@ def expansion_interval(model: SumModel, x: float, B: float, delta: float = 1.0,
     third-moment ratio criterion); only the support hypothesis is enforced
     here.
     """
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if model.a_max > 1.0 + _HYP_TOL:
-        raise HypothesisError(f"needs xi_i <= 1, got a_max = {model.a_max}")
+    _, limit, inside = EXPANSION.admit(model, x, B)
     constants = {"B": B, "delta": delta, "C": C}
-    limit = 0.25 * model.sigma / B
-    if x >= limit:
-        return _flagged("expansion", model, x, limit, constants, "x out of range")
+    if not inside:
+        return _flagged("expansion", model, x, limit, constants)
     t = tilt_cap(x, model.sigma, B)
     eps = expansion_error(model, x, B, delta, C)
     return _interval_from_band("expansion", model, x, mills_ratio(x), eps, t,
@@ -180,26 +230,17 @@ def saddlepoint_interval(model: SumModel, x: float, delta: float = 1.0,
     Markov bound, where lam is the saddle tilt.  Needs only bounded support
     (B = a_max) and finite (2+delta) moments; valid wherever the saddlepoint
     exists, with no range restriction in x."""
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
+    _, limit, _ = SADDLEPOINT.admit(model, x)
     B = model.a_max
     sp = solve_saddlepoint(model, x)
     sbar = math.sqrt(sp.variance)
-    theta = mills_ratio(sp.lam * sbar)
     eps = (
         2.0 ** (3 + delta) * C * math.exp(B * sp.lam)
         * model.abs_moment_sum(2 + delta) / sbar ** (2 + delta)
     )
-    ch = math.exp(sp.log_bound)
-    h = hoeffding_bound(x, model.sigma, model.n) if model.a_max <= 1.0 + _HYP_TOL else 1.0
-    center = theta * ch
-    upper = min((theta + eps) * ch, min(1.0, theta + eps) * h, 1.0)
-    lower = max(0.0, (theta - eps) * ch)
-    return SharpInterval(
-        name="saddlepoint", x=x, lower=lower, center=center, upper=upper,
-        band=eps * ch, t_param=B * sp.lam, range_limit=math.inf, valid=True,
-        constants={"B": B, "delta": delta, "C": C, "lam": sp.lam, "sigma_bar": sbar},
-    )
+    return _interval_from_band(
+        "saddlepoint", model, x, mills_ratio(sp.lam * sbar), eps, B * sp.lam, limit,
+        {"B": B, "delta": delta, "C": C, "lam": sp.lam, "sigma_bar": sbar})
 
 
 def third_moment_interval(model: SumModel, x: float, B: float | None = None) -> SharpInterval:
@@ -209,20 +250,10 @@ def third_moment_interval(model: SumModel, x: float, B: float | None = None) -> 
     B defaults to the model's ratio constant; explicit larger values keep the
     hypothesis true and only widen the band.
     """
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if model.a_max > 1.0 + _HYP_TOL:
-        raise HypothesisError(f"needs xi_i <= 1, got a_max = {model.a_max}")
-    if B is None:
-        B = model.b_ratio
-    elif B < model.b_ratio * (1 - _HYP_TOL):
-        raise HypothesisError(
-            f"B = {B} is below the third-moment ratio {model.b_ratio:.6g}"
-        )
+    B, limit, inside = THIRD_MOMENT.admit(model, x, B)
     constants = {"B": B}
-    limit = 0.1 * model.sigma / B
-    if x > limit:
-        return _flagged("third_moment", model, x, limit, constants, "x out of range")
+    if not inside:
+        return _flagged("third_moment", model, x, limit, constants)
     band = 16.0 * B / model.sigma
     return _interval_from_band("third_moment", model, x, mills_ratio(x), band,
                                tilt_cap(x, model.sigma, B), limit, constants)
@@ -233,18 +264,9 @@ def normal_tail_upper(model: SumModel, x: float, B: float | None = None) -> floa
     the Bernstein-shrunk argument xc; recovers the normal-tail shape while
     decaying at the exponential rate.  Same hypotheses and range as
     :func:`third_moment_interval`."""
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if model.a_max > 1.0 + _HYP_TOL:
-        raise HypothesisError(f"needs xi_i <= 1, got a_max = {model.a_max}")
-    if B is None:
-        B = model.b_ratio
-    elif B < model.b_ratio * (1 - _HYP_TOL):
-        raise HypothesisError(
-            f"B = {B} is below the third-moment ratio {model.b_ratio:.6g}"
-        )
-    if x > 0.1 * model.sigma / B:
-        raise RangeError(f"x = {x} is beyond 0.1 sigma / B = {0.1 * model.sigma / B:.6g}")
+    B, limit, inside = NORMAL_SHAPE.admit(model, x, B)
+    if not inside:
+        raise RangeError(f"x = {x} is beyond 0.1 sigma / B = {limit:.6g}")
     xc = bernstein_arg(x, model.sigma)
     return (1.0 - normal_cdf(xc)) * (1.0 + 16.0 * SQRT_2PI * (1.0 + xc) * B / model.sigma)
 
@@ -267,20 +289,9 @@ def subgaussian_upper(model: SumModel, x: float, C3: float = C3_UNIVERSAL,
     xi_i <= sigma_i componentwise and third-moment ratio constant B,
     x < 0.25 sigma / B.  Here the normal argument is x itself, not the
     Bernstein-shrunk value."""
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    bad = [d.upper - math.sqrt(d.variance) for d, _ in model.components
-           if d.upper > math.sqrt(d.variance) + _HYP_TOL]
-    if bad:
-        raise HypothesisError("needs xi_i <= sigma_i for every component")
-    if B is None:
-        B = model.b_ratio
-    elif B < model.b_ratio * (1 - _HYP_TOL):
-        raise HypothesisError(
-            f"B = {B} is below the third-moment ratio {model.b_ratio:.6g}"
-        )
-    if x >= 0.25 * model.sigma / B:
-        raise RangeError(f"x = {x} is beyond 0.25 sigma / B = {0.25 * model.sigma / B:.6g}")
+    B, limit, inside = SUBGAUSSIAN.admit(model, x, B)
+    if not inside:
+        raise RangeError(f"x = {x} is beyond 0.25 sigma / B = {limit:.6g}")
     cx = subgaussian_multiplier(x, model.sigma, B, C3)
     return (1.0 - normal_cdf(x)) * (1.0 + cx * (1.0 + x) * B / model.sigma)
 
@@ -306,13 +317,9 @@ def two_sided_interval(model: SumModel, x: float) -> SharpInterval:
     """Enclosure Theta(x) +/- c_x / sigma times the optimized Markov bound,
     for |xi_i| <= 1 and x <= 0.606 sigma.  Beyond that range only the capped
     Hoeffding upper bound is returned, flagged invalid."""
-    if x < 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if model.a_max > 1.0 + _HYP_TOL or model.lower_min < -1.0 - _HYP_TOL:
-        raise HypothesisError("needs |xi_i| <= 1 for every component")
-    limit = 0.606 * model.sigma
-    if x > limit:
-        return _flagged("two_sided", model, x, limit, {}, "x out of range")
+    _, limit, inside = TWO_SIDED.admit(model, x)
+    if not inside:
+        return _flagged("two_sided", model, x, limit, {})
     r = x / model.sigma
     t = r * math.exp(0.5 * math.e * r * r)
     cx = two_sided_multiplier(x, model.sigma)

@@ -14,17 +14,23 @@ not satisfy a hypothesis yields "skipped", never a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
 
 from ._tiltmath import tilted_stats, tilted_stats_grid
 from .errors import NumericalError, ParameterError
-from .models import SumModel, abs_moment, check_curvature_condition, curvature_condition_from_moments
+from .models import (
+    HYP_TOL,
+    SumModel,
+    abs_moment,
+    check_curvature_condition,
+    curvature_condition_from_moments,
+    support_violation,
+)
 from .oracle import build_tilted_lattice
 
-_HYP_TOL = 1e-12
 #: rounding tolerance for "holds": margins are scale-free (divided by sigma^2
 #: or O(1) already), so anything above -1e-10 is float noise on a true inequality
 _MARGIN_TOL = -1e-10
@@ -171,99 +177,74 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
     bn = sum(m * mn for m, mn in zip(mults, means))
     varbar = sum(m * vr for m, vr in zip(mults, varis))
 
-    upper_ok_1 = model.a_max <= 1.0 + _HYP_TOL
-    upper_ok_B = model.a_max <= B + _HYP_TOL
-    two_sided_1 = upper_ok_1 and model.lower_min >= -1.0 - _HYP_TOL
+    upper_ok_B = model.a_max <= B + HYP_TOL
     moment_ok_B = all(
-        abs_moment(d, 2 + delta) <= B ** (2 + delta) * (1 + _HYP_TOL)
+        abs_moment(d, 2 + delta) <= B ** (2 + delta) * (1 + HYP_TOL)
         for d, _ in model.components
     )
-    curvature_ok = curvature_condition_from_moments(model, B) or \
-        check_curvature_condition(model, B).holds
-    subvar_ok = all(d.upper <= math.sqrt(d.variance) + _HYP_TOL for d, _ in model.components)
-    third_ok = all(abs_moment(d, 3) <= B * d.variance * (1 + _HYP_TOL) for d, _ in model.components)
+    third_ok = curvature_condition_from_moments(model, B)
+    curvature_ok = third_ok or check_curvature_condition(model, B).holds
 
     checks = []
 
-    def add(name, applicable, margins, reason=None):
-        if not applicable:
+    def add(name, reason, margins):
+        """Skip the check with `reason`, or record the worst of `margins()`."""
+        if reason is not None:
             checks.append(InequalityCheck(name, False, None, None, None, reason))
             return
-        margins = np.asarray(margins, dtype=float)
-        k = int(np.argmin(margins))
+        marg = np.asarray(margins(), dtype=float)
+        k = int(np.argmin(marg))
         checks.append(InequalityCheck(
-            name, True, bool(margins[k] >= _MARGIN_TOL),
-            float(margins[k]), float(lams[k]),
+            name, True, bool(marg[k] >= _MARGIN_TOL),
+            float(marg[k]), float(lams[k]),
         ))
 
-    # 1. per-component MGF <= extremal two-point MGF   (needs xi_i <= 1)
-    if upper_ok_1:
-        marg = None
-        for (dist, _), mgf in zip(model.components, mgfs):
-            cap = _two_point_mgf_cap(lams, dist.variance)
-            row = cap - mgf
-            marg = row if marg is None else np.minimum(marg, row)
-        add("mgf_two_point", True, marg)
-    else:
-        add("mgf_two_point", False, None, "needs xi_i <= 1")
+    # 1. per-component MGF <= extremal two-point MGF
+    add("mgf_two_point", support_violation(model, "upper"), lambda: np.min(
+        [_two_point_mgf_cap(lams, d.variance) - mgf for (d, _), mgf in zip(model.components, mgfs)],
+        axis=0))
 
     # 2. per-component MGF <= exp(B^2 lam^2 / 2)
-    if upper_ok_B and moment_ok_B:
-        cap = np.exp(0.5 * B * B * lams * lams)
-        marg = None
-        for mgf in mgfs:
-            row = cap - mgf
-            marg = row if marg is None else np.minimum(marg, row)
-        add("mgf_gaussian", True, marg)
-    else:
-        add("mgf_gaussian", False, None,
-            "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)")
+    add("mgf_gaussian",
+        None if upper_ok_B and moment_ok_B
+        else "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)",
+        lambda: np.exp(0.5 * B * B * lams * lams) - np.max(mgfs, axis=0))
 
     # 3. two-sided envelope for the tilted mean
-    if upper_ok_B and curvature_ok:
+    def tilted_mean_margins():
         upper_m = (np.exp(B * lams) - 1.0) / B * s2 - bn
         lower_m = bn - (1.0 - 0.5 * B * lams) * lams * s2 * np.exp(-0.5 * B * B * lams * lams)
-        add("tilted_mean_two_sided", True, np.minimum(upper_m, lower_m) / s2)
-    else:
-        add("tilted_mean_two_sided", False, None,
-            "needs xi_i <= B and the curvature condition")
+        return np.minimum(upper_m, lower_m) / s2
+    add("tilted_mean_two_sided",
+        None if upper_ok_B and curvature_ok else "needs xi_i <= B and the curvature condition",
+        tilted_mean_margins)
 
     # 4. cumulant <= n * log of the extremal two-point MGF at variance sigma^2/n
-    if upper_ok_1:
-        cap = n * np.log(_two_point_mgf_cap(lams, s2 / n))
-        add("cumulant_two_point", True, (cap - psi) / s2)
-    else:
-        add("cumulant_two_point", False, None, "needs xi_i <= 1")
+    add("cumulant_two_point", support_violation(model, "upper"),
+        lambda: (n * np.log(_two_point_mgf_cap(lams, s2 / n)) - psi) / s2)
 
     # 5. two-sided envelope for the tilted variance
-    if upper_ok_B and curvature_ok and moment_ok_B:
+    def tilted_variance_margins():
         upper_m = np.exp(B * lams) * s2 - varbar
         lower_m = varbar - np.maximum(1.0 - 2.0 * B * lams, 0.0) * s2
-        add("tilted_variance_two_sided", True, np.minimum(upper_m, lower_m) / s2)
-    else:
-        add("tilted_variance_two_sided", False, None,
-            "needs xi_i <= B, the curvature condition and the (2+delta) moment cap")
+        return np.minimum(upper_m, lower_m) / s2
+    add("tilted_variance_two_sided",
+        None if upper_ok_B and curvature_ok and moment_ok_B
+        else "needs xi_i <= B, the curvature condition and the (2+delta) moment cap",
+        tilted_variance_margins)
 
-    # 6. cumulant <= lam^2 sigma^2 / 2   (needs xi_i <= sigma_i per component)
-    if subvar_ok:
-        add("cumulant_gaussian", True, (0.5 * lams * lams * s2 - psi) / s2)
-    else:
-        add("cumulant_gaussian", False, None, "needs xi_i <= sigma_i for every component")
+    # 6. cumulant <= lam^2 sigma^2 / 2
+    add("cumulant_gaussian", support_violation(model, "sigma"),
+        lambda: (0.5 * lams * lams * s2 - psi) / s2)
 
     # 7. tilted variance lower bound from the third-moment ratio
-    if upper_ok_B and third_ok:
-        cap = np.maximum(1.0 - B * lams, 0.0) * np.exp(-B * B * lams * lams) * s2
-        add("tilted_variance_lower", True, (varbar - cap) / s2)
-    else:
-        add("tilted_variance_lower", False, None,
-            "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2")
+    add("tilted_variance_lower",
+        None if upper_ok_B and third_ok else "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2",
+        lambda: (varbar - np.maximum(1.0 - B * lams, 0.0) * np.exp(-B * B * lams * lams) * s2) / s2)
 
     # 8. tilted mean lower bound for |xi_i| <= 1
-    if two_sided_1:
-        cap = (1.0 - np.exp(-lams)) * np.exp(-0.5 * lams * lams) * s2
-        add("tilted_mean_lower", True, (bn - cap) / s2)
-    else:
-        add("tilted_mean_lower", False, None, "needs |xi_i| <= 1")
+    add("tilted_mean_lower", support_violation(model, "abs"),
+        lambda: (bn - (1.0 - np.exp(-lams)) * np.exp(-0.5 * lams * lams) * s2) / s2)
 
     return SuiteReport(tuple(checks))
 
@@ -283,15 +264,7 @@ class NormalApproxReport:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "sup_distance": self.sup_distance,
-            "bound": self.bound,
-            "moment_bound": self.moment_bound,
-            "bounded_bound": self.bounded_bound,
-            "sigma_bar": self.sigma_bar,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
@@ -326,8 +299,7 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
         2.0 ** (2 + delta) * C * math.exp(B * lam)
         * model.abs_moment_sum(2 + delta) / sbar ** (2 + delta)
     )
-    two_sided = model.a_max <= 1.0 + _HYP_TOL and model.lower_min >= -1.0 - _HYP_TOL
-    bounded_bound = 1.12 / sbar if two_sided else None
+    bounded_bound = 1.12 / sbar if support_violation(model, "abs") is None else None
     bound = bounded_bound if bounded_bound is not None else moment_bound
     return NormalApproxReport(
         lam=lam, sup_distance=sup, bound=bound, moment_bound=moment_bound,

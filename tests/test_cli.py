@@ -6,10 +6,13 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 import sharptail
 import sharptail.cli as cli
 from sharptail import (
+    DiscreteDistribution,
     SumModel,
     build_lattice,
     extremal_model,
@@ -151,6 +154,105 @@ class TestBoundsCommand:
             "bounds", "--model", rad_file, "--x-grid", "0:1:2", "--bounds", "nope",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("bounds", ["saddlepoint", "chernoff", "expansion,saddlepoint", "all"])
+    def test_no_saddlepoint_blanks_the_cell(self, capsys, rad_file, bounds):
+        # x >= 10 puts the threshold at or beyond the essential sup 100
+        code, out, err = run(capsys, [
+            "bounds", "--model", rad_file, "--x-grid", "0:12:25", "--bounds", bounds,
+        ])
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        solved = [c for c in header if c.split("_")[0] in ("chernoff", "saddlepoint")]
+        assert solved
+        for cells in rows:
+            row = dict(zip(header, cells))
+            beyond = float(row["x"]) >= 10
+            for col in solved:
+                if col.endswith("_valid"):
+                    assert row[col] == ("0" if beyond else "1")
+                else:
+                    assert (row[col] == "") == beyond
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--b", "0"), ("--b", "-1"), ("--b", "nan"), ("--b", "inf"),
+        ("--c3", "-1"), ("--c3", "0"), ("--c3", "nan"), ("--c3", "inf"),
+        ("--delta", "0"), ("--delta", "2"), ("--delta", "nan"), ("--delta", "-inf"),
+    ])
+    def test_bad_constant_exit_2_before_any_work(self, capsys, flag, value):
+        # the model file is missing: the flag is rejected before it is read
+        code, out, err = run(capsys, [
+            "bounds", "--model", "/nonexistent.json", "--x-grid", "0:1:2", f"{flag}={value}",
+        ])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [err.strip()] and err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("value", ["0", "inf", "nan"])
+    def test_verify_bad_b_exit_2(self, capsys, rad_file, value):
+        code, out, err = run(capsys, ["verify", "--model", rad_file, f"--b={value}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --b ")
+
+
+_FUZZ_MODELS = {
+    "rademacher100": rademacher_model(100),
+    "wide2x30": SumModel(((DiscreteDistribution(((2.0, 0.2), (-0.5, 0.8))), 30),)),
+    "five_atom50": SumModel(((FIVE_ATOM, 50),)),
+}
+_ODD = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "0.5", "1", "2"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, model in _FUZZ_MODELS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(model_to_dict(model)))
+    return paths
+
+
+def _parse_bounds(out, fmt):
+    """(header, rows as lists of floats or None) of a `bounds` stdout."""
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        header = list(rows[0]) if rows else []
+        assert all(list(r) == header for r in rows)
+        return header, [list(r.values()) for r in rows]
+    header, rows = parse_csv(out)
+    assert all(len(r) == len(header) for r in rows)
+    return header, [[float(c) if c else None for c in r] for r in rows]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    model=hst.sampled_from(sorted(_FUZZ_MODELS)),
+    grid=hst.tuples(hst.sampled_from(["0", "0.5", "3", "12", "-1", "nan", "inf", "-inf", "1e300"]),
+                    hst.sampled_from(["0", "1", "3", "12", "nan", "inf", "-0.5", "1e300"]),
+                    hst.sampled_from(["-1", "0", "1", "2", "7", "x"])),
+    columns=hst.one_of(hst.just("all"), hst.lists(
+        hst.sampled_from(cli.ALL_BOUNDS + ("nope", "")), min_size=1, max_size=4).map(",".join)),
+    constants=hst.fixed_dictionaries({}, optional={
+        flag: hst.sampled_from(_ODD) for flag in ("--b", "--delta", "--c3")}),
+    fmt=hst.sampled_from(["csv", "json"]),
+    strict=hst.sampled_from(["--strict", "--nonstrict"]),
+)
+def test_bounds_fuzz(capsys, fuzz_files, model, grid, columns, constants, fmt, strict):
+    argv = ["bounds", "--model", str(fuzz_files[model]), f"--x-grid={':'.join(grid)}",
+            f"--bounds={columns}", "--format", fmt, strict]
+    argv += [f"{flag}={value}" for flag, value in constants.items()]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 2, 3), err
+    if code != 0:
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    header, rows = _parse_bounds(out, fmt)
+    for row in rows:
+        cells = dict(zip(header, row))
+        for name in cli.ALL_BOUNDS:
+            if cells.get(f"{name}_valid"):
+                lower, upper = cells[f"{name}_lower"], cells[f"{name}_upper"]
+                assert 0.0 <= lower <= upper <= 1.0, (name, cells)
 
 
 class TestRatioCommand:

@@ -249,6 +249,14 @@ class TestIntervalShapes:
                 assert iv.upper <= 1.0
                 assert iv.lower <= min(iv.center, iv.upper)
 
+    def test_lower_not_above_upper_when_band_vanishes(self):
+        # on Rademacher sums the Hoeffding cap equals the Chernoff bound up to
+        # rounding, so a band of a few ulps must not leave lower > upper
+        m = rademacher_model(100)
+        for x in np.linspace(0, 2, 9):
+            iv = saddlepoint_interval(m, x, C=1e-300)
+            assert 0.0 <= iv.lower <= iv.upper <= 1.0
+
     def test_band_monotone_in_x(self):
         m = rademacher_model(400)
         for build in (
