@@ -51,9 +51,8 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_VERIFY = 4
 
-#: column -> its cell at x, from the model, the parsed `bounds` flags (B
-#: already defaulted) and the exact lattice: a number, or a SharpInterval for
-#: the four interval columns
+#: column -> its cell at x, from the model, the parsed `bounds` flags and the
+#: exact lattice: a number, or a SharpInterval for the four interval columns
 _COLUMNS = {
     "exact": lambda m, x, a, lat: lat.tail(x * m.sigma, not a.nonstrict),
     "hoeffding": lambda m, x, a, lat: hoeffding_bound(x, m.sigma, m.n),
@@ -61,7 +60,8 @@ _COLUMNS = {
     "bernstein": lambda m, x, a, lat: bernstein_bound(x, m.sigma),
     "chernoff": lambda m, x, a, lat: chernoff_bound(m, x),
     "mills": lambda m, x, a, lat: mills_ratio(x),
-    "expansion": lambda m, x, a, lat: expansion_interval(m, x, a.b, a.delta, a.c3),
+    "expansion": lambda m, x, a, lat: expansion_interval(
+        m, x, m.b_ratio if a.b is None else a.b, a.delta, a.c3),
     "saddlepoint": lambda m, x, a, lat: saddlepoint_interval(m, x, a.delta, a.c3),
     "third_moment": lambda m, x, a, lat: third_moment_interval(m, x),
     "two_sided": lambda m, x, a, lat: two_sided_interval(m, x),
@@ -163,8 +163,6 @@ def cmd_bounds(args) -> int:
         if name not in ALL_BOUNDS:
             raise ParameterError(f"unknown bound {name!r}; choose from {', '.join(ALL_BOUNDS)}")
     explicit = args.bounds != "all"
-    if args.b is None:
-        args.b = model.b_ratio
 
     blank = set()
     for name in selected:
@@ -254,6 +252,10 @@ def cmd_ratio(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+#: tilts at which `verify` checks the normal approximation of the tilted sum
+_NORMAL_APPROX_TILTS = (0.0, 0.05, 0.1)
+
+
 def verify_report(model, B: float, delta: float, lambda_grid=None,
                   containment_points: int = 25) -> dict:
     report: dict = {"schema_version": SCHEMA_VERSION, "command": "verify"}
@@ -276,7 +278,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None,
         report["ok"] = not failures
         return report
 
-    approx = [berry_esseen_tilted(model, lam, delta) for lam in (0.0, 0.05, 0.1)]
+    approx = [berry_esseen_tilted(model, lam, delta) for lam in _NORMAL_APPROX_TILTS]
     report["normal_approx"] = [rep.to_dict() for rep in approx]
     failures = failures or not all(rep.holds for rep in approx)
 

@@ -266,7 +266,7 @@ def normal_tail_upper(model: SumModel, x: float, B: float | None = None) -> floa
     :func:`third_moment_interval`."""
     B, limit, inside = NORMAL_SHAPE.admit(model, x, B)
     if not inside:
-        raise RangeError(f"x = {x} is beyond 0.1 sigma / B = {limit:.6g}")
+        raise RangeError(f"x = {x} is past the {NORMAL_SHAPE.name} range end {limit:.6g}")
     xc = bernstein_arg(x, model.sigma)
     return (1.0 - normal_cdf(xc)) * (1.0 + 16.0 * SQRT_2PI * (1.0 + xc) * B / model.sigma)
 
@@ -291,7 +291,7 @@ def subgaussian_upper(model: SumModel, x: float, C3: float = C3_UNIVERSAL,
     Bernstein-shrunk value."""
     B, limit, inside = SUBGAUSSIAN.admit(model, x, B)
     if not inside:
-        raise RangeError(f"x = {x} is beyond 0.25 sigma / B = {limit:.6g}")
+        raise RangeError(f"x = {x} is past the {SUBGAUSSIAN.name} range end {limit:.6g}")
     cx = subgaussian_multiplier(x, model.sigma, B, C3)
     return (1.0 - normal_cdf(x)) * (1.0 + cx * (1.0 + x) * B / model.sigma)
 
