@@ -1,64 +1,24 @@
-"""Low-level exponential-tilt statistics for a single finite distribution.
+"""Exponential-tilt statistics over a model's packed (C x K) atom matrix.
 
-All helpers work on raw (values, probs) arrays so they can be shared by the
-cumulant, tilting and Monte-Carlo layers without circular imports.  Every
-exponential is max-shifted, so the routines stay finite for tilts up to
-lam * max(values) ~ 700.
+:func:`packed_tilt` is the one tilt kernel: the cumulant, tilting and
+Monte-Carlo layers all read it, so they agree to the last bit.  Every
+exponential is max-shifted by its row's top atom, so the results stay finite
+for tilts up to lam * max(values) ~ 700.
 """
-
-import math
 
 import numpy as np
 
 
-def tilted_stats(values, probs, lam):
-    """Tilted (log-MGF, mean, variance, probs) of one component at tilt lam.
+def packed_tilt(values, probs, lams):
+    """Per-row (log-MGF, mean, variance), as one (3, L, C) array, and the
+    (L, C, K) tilted probabilities of a packed atom matrix (rows sorted
+    ascending, see :attr:`sharptail.models.SumModel.packed_atoms`) at the L
+    tilts `lams` >= 0.
 
-    The probabilities are reweighted by exp(lam * value); the variance is
-    computed from the reweighted atoms in two passes (subtract the tilted
-    mean first) because the MGF-ratio formula cancels catastrophically once
-    the tilt concentrates the mass near the top atom.
-    """
-    if lam == 0.0:
-        mean = float(np.dot(probs, values))
-        var = float(np.dot(probs, (values - mean) ** 2))
-        return 0.0, mean, var, np.array(probs, dtype=float)
-    shift = lam * float(values[-1])
-    w = probs * np.exp(lam * values - shift)
-    z = float(w.sum())
-    tp = w / z
-    mean = float(np.dot(tp, values))
-    var = float(np.dot(tp, (values - mean) ** 2))
-    return shift + math.log(z), mean, var, tp
-
-
-def tilted_stats_grid(values, probs, lams):
-    """Vectorised (log-MGF, mean, variance) arrays over a grid of tilts.
-
-    `values` must be sorted ascending (the max-shift uses the last entry).
-    """
-    lams = np.asarray(lams, dtype=float)
-    shift = lams[:, None] * values[-1]
-    w = probs * np.exp(lams[:, None] * values - shift)
-    z = w.sum(axis=1)
-    tp = w / z[:, None]
-    mean = tp @ values
-    var = np.einsum("ij,ij->i", tp, (values - mean[:, None]) ** 2)
-    log_mgf = shift[:, 0] + np.log(z)
-    return log_mgf, mean, var
-
-
-def packed_cumulants(values, probs, mults, lams):
-    """(cum, cum', cum'') of a whole sum at every tilt in `lams` (all >= 0),
-    as the rows of one (3, len(lams)) array.
-
-    `values` and `probs` are the (C x K) packed atom matrix of the sum's C
-    components, each row sorted ascending (zero-probability padding repeats
-    the row's top atom), and `mults` holds their multiplicities.  Each row is
-    max-shifted by its top atom and its variance is taken in two passes, as
-    in :func:`tilted_stats`; the results are multiplicity-weighted sums over
-    the rows.  Every operation acts on one tilt's rows alone, so a tilt gets
-    the same bits whichever other tilts share the call.
+    At lam = 0 the tilted probabilities are the input ones, bit for bit.  The
+    variance takes two passes (tilted mean first), because the MGF-ratio
+    formula cancels once the tilt piles the mass onto the top atom.  Each
+    tilt's rows are computed alone, so its bits do not depend on the others.
     """
     lams = np.asarray(lams, dtype=float)
     top = values[:, -1]
@@ -66,6 +26,7 @@ def packed_cumulants(values, probs, mults, lams):
     w *= probs
     z = np.add.reduce(w, axis=2)
     w /= z[:, :, None]
+    w[lams == 0.0] = probs
     out = np.empty((3,) + z.shape)
     np.log(z, out=out[0])
     out[0] += lams[:, None] * top
@@ -74,5 +35,21 @@ def packed_cumulants(values, probs, mults, lams):
     dev *= dev
     dev *= w
     np.add.reduce(dev, axis=2, out=out[2])
-    out *= mults
-    return np.add.reduce(out, axis=2)
+    return out, w
+
+
+def tilted_stats(values, probs, lam):
+    """Tilted (log-MGF, mean, variance, probs) of one component at tilt lam:
+    the one-row case of :func:`packed_tilt`."""
+    stats, tp = packed_tilt(values[None, :], probs[None, :], [lam])
+    return (*stats[:, 0, 0].tolist(), tp[0, 0])
+
+
+def packed_cumulants(values, probs, mults, lams):
+    """(cum, cum', cum'') of a whole sum at every tilt in `lams` (all >= 0),
+    as the rows of one (3, len(lams)) array: the multiplicity-weighted sums
+    over the rows of :func:`packed_tilt`, with `mults` holding the rows'
+    multiplicities."""
+    stats, _ = packed_tilt(values, probs, lams)
+    stats *= mults
+    return np.add.reduce(stats, axis=2)

@@ -263,7 +263,8 @@ def verify_report(model, B: float, delta: float, lambda_grid=None,
     curv = check_curvature_condition(model, B, lambda_grid)
     report["curvature_condition"] = {
         "B": curv.B, "holds": curv.holds,
-        "worst_margin": curv.worst_margin, "worst_lambda": curv.worst_lambda,
+        "worst_margin": curv.worst_margin if math.isfinite(curv.worst_margin) else None,
+        "worst_lambda": curv.worst_lambda,
     }
 
     suite = inequality_suite(model, B, delta, lambda_grid)

@@ -287,14 +287,16 @@ def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
     grid = default_lambda_grid(B) if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("lambda grid must be non-empty")
-    if grid.min() < 0:
-        raise ParameterError("lambda grid values must be >= 0")
-    lhs = np.zeros_like(grid)
+    if not np.all((grid >= 0) & np.isfinite(grid)):
+        raise ParameterError("lambda grid values must be finite and >= 0")
+    values, probs, mults = model.packed_atoms
+    # padding atoms (probability 0) keep 0, so an overflow gives inf, not nan
+    growth = np.zeros((grid.size,) + values.shape)
     with np.errstate(over="ignore"):
-        for dist, m in model.components:
-            w = dist.probs * dist.values**2
-            lhs += m * (np.exp(np.outer(grid, dist.values)) @ w)
-    margins = lhs - (1.0 - B * grid) * model.sigma2
+        np.exp(grid[:, None, None] * values, out=growth, where=probs > 0)
+    # one (1 x K) @ (K x 1) dot per row, as `DiscreteDistribution.variance` takes
+    rows = (growth[:, :, None, :] @ (probs * values**2)[:, :, None])[..., 0, 0]
+    margins = np.add.reduce(rows * mults, axis=1) - (1.0 - B * grid) * model.sigma2
     k = int(np.argmin(margins))
     return CurvatureReport(
         holds=bool(margins[k] >= -HYP_TOL * model.sigma2),

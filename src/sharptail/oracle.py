@@ -95,7 +95,8 @@ class TailEstimate:
 
 
 class LatticeDistribution:
-    """Mass vector of the sum on a rational grid: point k has value (base+k)*step."""
+    """Mass vector of the sum on a rational grid: point k has value (base+k)*step,
+    with step = 1/denominator."""
 
     def __init__(self, step: Fraction, base: int, masses: np.ndarray,
                  quantization_error: float):
@@ -117,8 +118,10 @@ class LatticeDistribution:
 
     @cached_property
     def values(self) -> np.ndarray:
+        """value(k) for every point: the step is 1/denominator, so one
+        division rounds each exact value once."""
         num = np.arange(self.base, self.base + len(self.masses), dtype=float)
-        return num * float(self.step)
+        return num / float(self.step.denominator)
 
     def _first_index_above(self, threshold: float, strict: bool) -> int:
         # exact rational comparison of (base + k) * step against the threshold
@@ -317,10 +320,7 @@ def build_lattice(model: SumModel) -> LatticeDistribution:
 
 def build_tilted_lattice(model: SumModel, lam: float) -> LatticeDistribution:
     """Exact distribution of the sum under the exponential tilt lam."""
-    raw = []
-    for d, m in model.components:
-        _, _, _, tp = tilted_stats(d.values, d.probs, lam)
-        raw.append((d.values, tp, m))
+    raw = [(d.values, tilted_stats(d.values, d.probs, lam)[3], m) for d, m in model.components]
     step, layouts, quant = _lattice_layout(raw)
     return _convolve_components(step, layouts, quant)
 
@@ -458,8 +458,7 @@ def _component_sampler(dist, mult: int, n_samples: int, lam: float | None = None
         except UnsupportedModelError:
             pass
         else:
-            return _AliasTable((lat.base + np.arange(len(lat))) / lat.step.denominator,
-                               lat.masses)
+            return _AliasTable(lat.values, lat.masses)
     return _Multinomial(values, probs, mult)
 
 

@@ -19,12 +19,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import special
 
-from ._tiltmath import tilted_stats, tilted_stats_grid
+from ._tiltmath import packed_cumulants, packed_tilt, tilted_stats
 from .errors import NumericalError, ParameterError
 from .models import (
     HYP_TOL,
     SumModel,
-    abs_moment,
     check_curvature_condition,
     curvature_condition_from_moments,
     support_violation,
@@ -68,11 +67,7 @@ def tilt(model: SumModel, lam: float) -> TiltedState:
     comps = []
     for dist, m in model.components:
         if lam == 0.0:
-            tc = TiltedComponent(
-                values=dist.values, probs=dist.probs,
-                mean=float(np.dot(dist.probs, dist.values)),
-                variance=dist.variance, multiplicity=m,
-            )
+            mean, var, tp = float(np.dot(dist.probs, dist.values)), dist.variance, dist.probs
         else:
             _, mean, var, tp = tilted_stats(dist.values, dist.probs, lam)
             m2 = float(np.dot(tp, dist.values**2))
@@ -81,17 +76,9 @@ def tilt(model: SumModel, lam: float) -> TiltedState:
                     f"tilted variance cross-check failed at lam={lam}: "
                     f"var + mean^2 = {var + mean * mean:.17g}, E xi^2 = {m2:.17g}"
                 )
-            tc = TiltedComponent(values=dist.values, probs=tp, mean=mean,
-                                 variance=var, multiplicity=m)
-        comps.append(tc)
-    total_mean = sum(tc.mean * tc.multiplicity for tc in comps)
-    total_var = sum(tc.variance * tc.multiplicity for tc in comps)
-    return TiltedState(
-        lam=lam,
-        components=tuple(comps),
-        mean=total_mean,
-        variance=total_var,
-    )
+        comps.append(TiltedComponent(dist.values, tp, mean, var, m))
+    return TiltedState(lam, tuple(comps), sum(tc.mean * tc.multiplicity for tc in comps),
+                       sum(tc.variance * tc.multiplicity for tc in comps))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +100,8 @@ class InequalityCheck:
         return {
             "name": self.name,
             "holds": self.holds,
-            "worst_margin": self.worst_margin,
+            # null once the slack overflows float64, as JSON has no inf
+            "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
             "worst_lambda": self.worst_lambda,
         }
 
@@ -145,6 +133,12 @@ def _two_point_mgf_cap(lams, var):
     return (var * np.exp(lams) + np.exp(-lams * var)) / (1.0 + var)
 
 
+def _row_moments(values, probs, p):
+    """E|xi|^p of every row of a packed atom matrix, with the bits of
+    :func:`sharptail.models.abs_moment`: each row is one (1 x K) @ (K x 1) dot."""
+    return (probs[:, None, :] @ (np.abs(values) ** p)[:, :, None])[:, 0, 0]
+
+
 def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
                      lambda_grid=None) -> SuiteReport:
     """Evaluate every envelope inequality whose hypothesis the model satisfies.
@@ -158,30 +152,22 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     lams = default_suite_grid(B) if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if lams.size == 0 or lams.min() < 0:
-        raise ParameterError("lambda grid must be non-empty with values >= 0")
+    if lams.size == 0 or not np.all((lams >= 0) & np.isfinite(lams)):
+        raise ParameterError("lambda grid must be non-empty with finite values >= 0")
 
     s2 = model.sigma2
     n = model.n
 
-    # per-component tilted stats across the grid
-    log_mgfs, mgfs, means, varis = [], [], [], []
-    for dist, m in model.components:
-        lm, mn, vr = tilted_stats_grid(dist.values, dist.probs, lams)
-        log_mgfs.append(lm)
-        mgfs.append(np.exp(lm))
-        means.append(mn)
-        varis.append(vr)
-    mults = np.array([m for _, m in model.components], dtype=float)
-    psi = sum(m * lm for m, lm in zip(mults, log_mgfs))
-    bn = sum(m * mn for m, mn in zip(mults, means))
-    varbar = sum(m * vr for m, vr in zip(mults, varis))
+    # per-row tilted stats across the grid, (L x C) each, and their sums
+    values, probs, mults = model.packed_atoms
+    stats, _ = packed_tilt(values, probs, lams)
+    psi, bn, varbar = np.add.reduce(stats * mults, axis=2)
 
     upper_ok_B = model.a_max <= B + HYP_TOL
-    moment_ok_B = all(
-        abs_moment(d, 2 + delta) <= B ** (2 + delta) * (1 + HYP_TOL)
-        for d, _ in model.components
-    )
+    # a huge B's power overflows to inf, a cap every finite moment meets
+    with np.errstate(over="ignore"):
+        moment_cap = np.float64(B) ** (2 + delta) * (1 + HYP_TOL)
+    moment_ok_B = bool(_row_moments(values, probs, 2 + delta).max() <= moment_cap)
     third_ok = curvature_condition_from_moments(model, B)
     curvature_ok = third_ok or check_curvature_condition(model, B).holds
 
@@ -189,31 +175,33 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
 
     def add(name, reason, margins):
         """Skip the check with `reason`, or record the worst of `margins()`."""
+        if reason is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                marg = np.asarray(margins(), dtype=float)
+            if np.isnan(marg).any():  # both sides overflowed at some tilt
+                reason = "overflows float64 on this lambda grid"
         if reason is not None:
             checks.append(InequalityCheck(name, False, None, None, None, reason))
             return
-        marg = np.asarray(margins(), dtype=float)
         k = int(np.argmin(marg))
-        checks.append(InequalityCheck(
-            name, True, bool(marg[k] >= _MARGIN_TOL),
-            float(marg[k]), float(lams[k]),
-        ))
+        checks.append(InequalityCheck(name, True, bool(marg[k] >= _MARGIN_TOL),
+                                      float(marg[k]), float(lams[k])))
 
     # 1. per-component MGF <= extremal two-point MGF
     add("mgf_two_point", support_violation(model, "upper"), lambda: np.min(
-        [_two_point_mgf_cap(lams, d.variance) - mgf for (d, _), mgf in zip(model.components, mgfs)],
-        axis=0))
+        _two_point_mgf_cap(lams[:, None], _row_moments(values, probs, 2)) - np.exp(stats[0]),
+        axis=1))
 
     # 2. per-component MGF <= exp(B^2 lam^2 / 2)
     add("mgf_gaussian",
         None if upper_ok_B and moment_ok_B
         else "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)",
-        lambda: np.exp(0.5 * B * B * lams * lams) - np.max(mgfs, axis=0))
+        lambda: np.exp(0.5 * (B * lams) ** 2) - np.max(np.exp(stats[0]), axis=1))
 
     # 3. two-sided envelope for the tilted mean
     def tilted_mean_margins():
         upper_m = (np.exp(B * lams) - 1.0) / B * s2 - bn
-        lower_m = bn - (1.0 - 0.5 * B * lams) * lams * s2 * np.exp(-0.5 * B * B * lams * lams)
+        lower_m = bn - (1.0 - 0.5 * B * lams) * lams * s2 * np.exp(-0.5 * (B * lams) ** 2)
         return np.minimum(upper_m, lower_m) / s2
     add("tilted_mean_two_sided",
         None if upper_ok_B and curvature_ok else "needs xi_i <= B and the curvature condition",
@@ -240,7 +228,7 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
     # 7. tilted variance lower bound from the third-moment ratio
     add("tilted_variance_lower",
         None if upper_ok_B and third_ok else "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2",
-        lambda: (varbar - np.maximum(1.0 - B * lams, 0.0) * np.exp(-B * B * lams * lams) * s2) / s2)
+        lambda: (varbar - np.maximum(1.0 - B * lams, 0.0) * np.exp(-(B * lams) ** 2) * s2) / s2)
 
     # 8. tilted mean lower bound for |xi_i| <= 1
     add("tilted_mean_lower", support_violation(model, "abs"),
@@ -282,12 +270,12 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
         raise ParameterError(f"lam must be >= 0, got {lam}")
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
-    state = tilt(model, lam)
-    sbar = math.sqrt(state.variance)
+    _, mean, var = packed_cumulants(*model.packed_atoms, [lam])[:, 0].tolist()
+    sbar = math.sqrt(var)
     lat = build_tilted_lattice(model, lam)
 
     cdf = np.cumsum(lat.masses)
-    y = (lat.values - state.mean) / sbar
+    y = (lat.values - mean) / sbar
     phi = special.ndtr(y)
     below = np.abs(cdf - phi)
     prev = np.concatenate(([0.0], cdf[:-1]))

@@ -8,7 +8,13 @@ Run from anywhere, at a commit whose outputs are trusted:
 
 `tests/test_golden.py` reruns every case and compares byte for byte.  The
 fixture keeps digests, not the outputs themselves (about 1.5 MB); to see how
-an output changed, rerun its argv at both commits.  Models
+the outputs differ from those of another checkout (say, the parent commit),
+run
+
+    python3 tests/golden/capture.py --against DIR
+
+which writes no fixture and prints each case whose exit code or stdout
+differs, with the largest relative change in each numeric field.  Models
 built here are written to a temporary directory; the benchmark's model files
 under `perfbench/models` are only read.  Each stored argv names its model
 file as "{model}".
@@ -16,10 +22,13 @@ file as "{model}".
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -97,15 +106,119 @@ def digest(stdout: str) -> str:
     return hashlib.sha256(stdout.encode()).hexdigest()
 
 
-def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    fixture = {}
+def outputs(src: Path) -> dict:
+    """Case id -> (exit code, stdout), with the package imported from `src`."""
+    sys.path[:0] = [str(src), str(ROOT / "tests")]
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_models(Path(tmp))
-        for case, (model, argv) in cases().items():
-            rc, out = run_case(argv, paths[model])
-            fixture[case] = {"argv": list(argv), "model": model, "exit": rc,
-                             "stdout_sha256": digest(out)}
+        return {case: run_case(argv, paths[model])
+                for case, (model, argv) in cases().items()}
+
+
+def fields(stdout: str) -> dict:
+    """Field name -> values of one output: the key paths of a JSON output
+    (a list element named by its "name" key, else "[]"), or the columns of a
+    CSV output."""
+    try:
+        obj = json.loads(stdout)
+    except ValueError:
+        lines = [ln.split(",") for ln in stdout.splitlines() if not ln.startswith("#")]
+        out: dict = {}
+        for row in lines[1:]:
+            for name, cell in zip(lines[0], row):
+                try:
+                    out.setdefault(name, []).append(float(cell))
+                except ValueError:
+                    out.setdefault(name, []).append(cell)
+        return out
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for value in node:
+                named = isinstance(value, dict) and "name" in value
+                walk(value, f"{path}[{value['name']}]" if named else f"{path}[]")
+        else:
+            out.setdefault(path, []).append(node)
+    walk(obj, "")
+    return out
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _relative(pair) -> float:
+    x, y = pair
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def field_changes(old: str, new: str) -> list[str]:
+    """One line per way a field differs: its largest relative change
+    |a - b| / max(|a|, |b|) with the two values, its first non-numeric
+    change (a blank cell, a flag), or its number of values."""
+    a, b = fields(old), fields(new)
+    lines = []
+    for name in dict.fromkeys([*a, *b]):
+        va, vb = a.get(name, []), b.get(name, [])
+        if len(va) != len(vb):
+            lines.append(f"  {name}: {len(va)} -> {len(vb)} values")
+            continue
+        diffs = [(x, y) for x, y in zip(va, vb) if x != y and not (x != x and y != y)]
+        numeric = [d for d in diffs if _number(d[0]) and _number(d[1])]
+        other = [d for d in diffs if d not in numeric]
+        if other:
+            lines.append(f"  {name}: {other[0][0]!r} -> {other[0][1]!r}")
+        if numeric:
+            x, y = max(numeric, key=_relative)
+            lines.append(f"  {name}: relative change {_relative((x, y)):.3g} ({x!r} -> {y!r})")
+    return lines
+
+
+def compare(other: Path) -> int:
+    """Print every case whose output differs between `other` and this checkout."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--outputs-of", str(other / "src")],
+        capture_output=True, text=True, check=True)
+    theirs = json.loads(proc.stdout)
+    ours = outputs(ROOT / "src")
+    changed = 0
+    for case, (rc, out) in ours.items():
+        if case not in theirs:
+            print(f"{case}: new case")
+            changed += 1
+            continue
+        old_rc, old_out = theirs[case]
+        if (old_rc, old_out) == (rc, out):
+            continue
+        changed += 1
+        print(f"{case}: exit {old_rc} -> {rc}" if old_rc != rc else f"{case}:")
+        for line in field_changes(old_out, out):
+            print(line)
+    print(f"{changed} of {len(ours)} cases differ")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare with the outputs of the checkout at DIR; "
+                             "the fixture is not written")
+    parser.add_argument("--outputs-of", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.outputs_of is not None:
+        json.dump(outputs(args.outputs_of), sys.stdout)
+        return 0
+    if args.against is not None:
+        return compare(args.against.resolve())
+    fixture = {}
+    for case, (rc, out) in outputs(ROOT / "src").items():
+        model, argv = cases()[case]
+        fixture[case] = {"argv": list(argv), "model": model, "exit": rc,
+                         "stdout_sha256": digest(out)}
     with open(FIXTURE, "w") as f:
         json.dump(fixture, f, indent=1, sort_keys=True)
         f.write("\n")

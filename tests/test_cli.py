@@ -255,6 +255,50 @@ def test_bounds_fuzz(capsys, fuzz_files, model, grid, columns, constants, fmt, s
                 assert 0.0 <= lower <= upper <= 1.0, (name, cells)
 
 
+def _strict_json(out):
+    """Parse `out`, failing on NaN or Infinity, which strict JSON lacks."""
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(out, parse_constant=reject)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    model=hst.sampled_from(sorted(_FUZZ_MODELS)),
+    grid=hst.none() | hst.tuples(
+        hst.sampled_from(["0", "0.5", "3", "-1", "nan", "inf", "-inf", "1e-300", "1e300"]),
+        hst.sampled_from(["0", "1", "12", "-0.5", "nan", "inf", "1e300"]),
+        hst.sampled_from(["-1", "0", "1", "7", "x"])).map(":".join),
+    constants=hst.fixed_dictionaries({}, optional={
+        flag: hst.sampled_from(_ODD) for flag in ("--b", "--delta")}),
+)
+def test_verify_fuzz(capsys, fuzz_files, model, grid, constants):
+    argv = ["verify", "--model", str(fuzz_files[model])]
+    argv += [f"{flag}={value}" for flag, value in constants.items()]
+    if grid is not None:
+        argv.append(f"--grid={grid}")
+    code, out, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4), err
+    if code in (2, 3):
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    payload = _strict_json(out)
+    assert payload["ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("b", ["1e103", "1e300"])
+def test_verify_huge_b(capsys, tmp_path, b):
+    # B ** (2 + delta) overflows a float past B ~ 1e102, and B * B * lam * lam
+    # is inf * 0 at lam = 0; every check must still be evaluated
+    path = tmp_path / "five100.json"
+    path.write_text(json.dumps(model_to_dict(SumModel(((FIVE_ATOM, 100),)))))
+    code, out, _ = run(capsys, ["verify", "--model", str(path), f"--b={b}"])
+    assert code == 0
+    checks = _strict_json(out)["inequalities"]
+    assert all(c["holds"] for c in checks if not c.get("skipped"))
+    assert {c["name"] for c in checks if c.get("skipped")} == {"cumulant_gaussian"}
+
+
 class TestRatioCommand:
     def test_columns_and_x_zero_row(self, capsys):
         code, out, _ = run(capsys, ["ratio", "--n-list", "10,20", "--x-max", "1", "--points", "3"])

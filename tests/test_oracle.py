@@ -145,6 +145,11 @@ class TestExactTail:
         with pytest.raises(ParameterError):
             exact_tail(m, math.nan)
 
+    def test_values_are_the_rounded_points(self):
+        # each value is rounded once, so it equals value(k), on a step of 1/20
+        lat = build_lattice(SumModel(((FIVE_ATOM, 7),)))
+        assert lat.values.tolist() == [lat.value(k) for k in range(len(lat))]
+
     def test_quantization_reported(self):
         a = 0.1 * math.pi  # no small-denominator rational equals this float
         d = DiscreteDistribution(((a, 0.5), (-a, 0.5)))
