@@ -9,7 +9,6 @@ exponents reach order n ~ 1e4 in the sweeps.  The scaled Gaussian tail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import special
 
@@ -87,15 +86,3 @@ def bernstein_bound(x: float, sigma: float) -> float:
     """exp(-xc^2/2) with xc = bernstein_arg(x, sigma)."""
     xc = bernstein_arg(x, sigma)
     return math.exp(-0.5 * xc * xc)
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """A named bound value with its validity flag, for reports."""
-
-    name: str
-    value: float
-    valid: bool = True
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "valid": self.valid}

@@ -91,8 +91,9 @@ def _fmt(v) -> str:
     return format(f, ".17g")
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """'a:b:steps' -> linspace(a, b, steps)."""
+def _parse_grid(text: str) -> list[float]:
+    """'a:b:steps' -> linspace(a, b, steps), as Python floats, whose products
+    overflow to inf without a numpy warning."""
     try:
         a, b, steps = text.split(":")
         a, b, steps = float(a), float(b), int(steps)
@@ -100,7 +101,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ParameterError(f"grid must be 'a:b:steps', got {text!r}") from None
     if not (math.isfinite(a) and math.isfinite(b)) or steps < 1 or b < a:
         raise ParameterError(f"bad grid {text!r}")
-    return np.linspace(a, b, steps)
+    return np.linspace(a, b, steps).tolist()
 
 
 def _emit_csv(out, tag: str, header: list[str], rows):
@@ -220,7 +221,7 @@ def ratio_rows(n_list, x_max: float, points: int, tail_floor: float = 1e-12):
         model = rademacher_model(n)
         lattice = build_lattice(model)
         sigma = model.sigma
-        for x in np.linspace(0.0, x_max, points):
+        for x in np.linspace(0.0, x_max, points).tolist():
             p = lattice.tail(x * sigma, strict=False)
             if p < tail_floor:
                 continue
@@ -241,6 +242,8 @@ def cmd_ratio(args) -> int:
         raise ParameterError(f"--points must be >= 1, got {args.points}")
     if not math.isfinite(args.x_max):
         raise ParameterError(f"--x-max must be finite, got {args.x_max}")
+    if args.x_max < 0:
+        raise ParameterError(f"--x-max must be >= 0, got {args.x_max}")
     rows = ratio_rows(n_list, args.x_max, args.points)
     header = ["n", "x", "exact_tail", "theta_hoeffding", "ratio"]
     emit = _emit_csv if args.format == "csv" else _emit_json

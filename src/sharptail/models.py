@@ -201,31 +201,6 @@ class SumModel:
         """Smallest B with E|xi_i|^3 <= B * E xi_i^2 for every component."""
         return max(abs_moment(d, 3) / d.variance for d, _ in self.components)
 
-    def b_abs(self, delta: float) -> float:
-        """Smallest B with E|xi_i|^(2+delta) <= B^(2+delta) for every component."""
-        return max(abs_moment(d, 2 + delta) ** (1.0 / (2 + delta)) for d, _ in self.components)
-
-
-@dataclass(frozen=True)
-class MomentProfile:
-    """Moment constants of a model for a given delta in (0, 1]."""
-
-    delta: float
-    b_abs: float
-    b_ratio: float
-    abs_moment_sum: float
-
-
-def moment_profile(model: SumModel, delta: float) -> MomentProfile:
-    if not (0.0 < delta <= 1.0):
-        raise ParameterError(f"delta must lie in (0, 1], got {delta}")
-    return MomentProfile(
-        delta=delta,
-        b_abs=model.b_abs(delta),
-        b_ratio=model.b_ratio,
-        abs_moment_sum=model.abs_moment_sum(2 + delta),
-    )
-
 
 #: support hypothesis -> (its test, the reason a model that fails it is
 #: skipped): xi_i <= 1, |xi_i| <= 1 and xi_i <= sigma_i, for every summand
@@ -296,7 +271,8 @@ def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
         np.exp(grid[:, None, None] * values, out=growth, where=probs > 0)
     # one (1 x K) @ (K x 1) dot per row, as `DiscreteDistribution.variance` takes
     rows = (growth[:, :, None, :] @ (probs * values**2)[:, :, None])[..., 0, 0]
-    margins = np.add.reduce(rows * mults, axis=1) - (1.0 - B * grid) * model.sigma2
+    with np.errstate(over="ignore"):  # an overflowed margin is inf, reported as such
+        margins = np.add.reduce(rows * mults, axis=1) - (1.0 - B * grid) * model.sigma2
     k = int(np.argmin(margins))
     return CurvatureReport(
         holds=bool(margins[k] >= -HYP_TOL * model.sigma2),

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._tiltmath import tilted_stats
 from .errors import HypothesisError, ParameterError, UnsupportedModelError
-from .models import SumModel, extremal_model, support_violation
+from .models import SumModel, hoeffding_extremal, support_violation
 from .rate import solve_target
 
 #: largest denominator used when snapping atom values to a rational grid
@@ -604,19 +604,6 @@ def _hull_vertices(t: np.ndarray):
     return hx, hy
 
 
-def _hull_at(t: np.ndarray, vertices, lo: int, hi: int) -> np.ndarray:
-    """log_concave_hull(t)[lo:hi] from the vertices of t's hull."""
-    out = t[lo:hi].copy()
-    if vertices is None:
-        return out
-    hx, hy = vertices
-    a, b = max(lo, int(hx[0])), min(hi, int(hx[-1]) + 1)
-    if a < b:
-        grid = np.arange(a, b, dtype=float)
-        out[a - lo:b - lo] = np.maximum(out[a - lo:b - lo], np.exp(np.interp(grid, hx, hy)))
-    return out
-
-
 def log_concave_hull(tail):
     """Pointwise-smallest log-concave sequence dominating `tail`.
 
@@ -633,44 +620,46 @@ def log_concave_hull(tail):
         return t.copy()
     if np.any(~np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0:
         raise ParameterError("tail values must lie in [0, 1]")
-    return _hull_at(t, _hull_vertices(t), 0, t.size)
+    out = t.copy()
+    vertices = _hull_vertices(t)
+    if vertices is not None:
+        hx, hy = vertices
+        a, b = int(hx[0]), int(hx[-1]) + 1
+        grid = np.arange(a, b, dtype=float)
+        out[a:b] = np.maximum(out[a:b], np.exp(np.interp(grid, hx, hy)))
+    return out
 
 
 def bentkus_bound(model: SumModel, x: float) -> float:
     """(e^2/2) times the log-concave hull of the extremal two-point sum's
     tail, evaluated at x * sigma; capped at 1.
 
-    The reference sum uses n i.i.d. copies of the two-point law with variance
-    sigma^2 / n.  Between lattice points the hull is interpolated
-    log-linearly; if sigma^2 / n is not exactly rational the lattice is the
-    reported quantization of it.  Only the two hull values around x * sigma
-    are computed.
+    The reference sum is n i.i.d. copies of the two-point law {1, -v} with
+    v = sigma^2 / n, snapped to the rational grid as the exact lattice snaps
+    atoms: a binomial on a stride of that lattice.  Its tail is constant on
+    each stride, with value T_k = P(binomial >= k) up to stride end k, and a
+    stride's other points lie below the chord between two stride ends, so
+    the hull's vertices are among the n + 1 points (k, log T_k); no lattice
+    is laid out.  Between vertices the hull is log-linear in stride units;
+    past the last positive one it is 0.
     """
-    if x < 0:
+    if not x >= 0:
         raise ParameterError(f"x must be >= 0, got {x}")
     reason = support_violation(model, "upper")
     if reason is not None:
         raise HypothesisError(reason)
-    v = model.sigma2 / model.n
-    ref = extremal_model(v, model.n)
-    lat = build_lattice(ref)
+    n = model.n
     target = x * model.sigma
-    vals = lat.values
-    if target <= vals[0]:
-        hull_at = 1.0
-    elif target > vals[-1]:
-        hull_at = 0.0
-    else:
-        tail = lat.suffix_sums
-        j = int(np.searchsorted(vals, target, side="right")) - 1
-        pts = _hull_at(tail, _hull_vertices(tail), j, j + 2).tolist()
-        if len(pts) == 1:
-            hull_at = pts[0]
-        else:
-            lo, hi = pts
-            w = (target - vals[j]) / (vals[j + 1] - vals[j])
-            if lo <= 0.0 or hi <= 0.0:
-                hull_at = 0.0 if w > 0 else lo
-            else:
-                hull_at = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
-    return min(1.0, 0.5 * math.e**2 * hull_at)
+    if target > n:  # past the reference sum's top point (or infinite)
+        return 0.0
+    ref = hoeffding_extremal(model.sigma2 / n)
+    step, [(offsets, probs, _)], _ = _lattice_layout([(ref.values, ref.probs, n)])
+    lo, stride = int(offsets[0]), int(offsets[1] - offsets[0])
+    # x * sigma in stride units above the lowest point n * lo * step, exactly
+    u = (Fraction(target) / step - n * lo) / stride
+    # the suffix sums of the strided lattice: its other points hold 0.0
+    tail = np.cumsum(_binomial_masses(float(probs[0]), float(probs[1]), n)[::-1])[::-1]
+    hx, hy = _hull_vertices(np.minimum(tail, 1.0))
+    if u > hx[-1]:
+        return 0.0
+    return min(1.0, 0.5 * math.e**2 * math.exp(float(np.interp(float(u), hx, hy))))

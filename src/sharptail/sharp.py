@@ -19,49 +19,9 @@ from .errors import HypothesisError, ParameterError, RangeError
 from .models import HYP_TOL, SumModel, support_violation
 from .rate import chernoff_bound, solve_saddlepoint
 
-#: Berry-Esseen constants for third-moment normalization: the universal one,
-#: the identically-distributed refinement, the binomial refinement, and the
-#: known lower bound.
+#: the universal Berry-Esseen constant for third-moment normalization, the
+#: default of every ``C`` / ``C3`` argument and of the CLI's ``--c3``
 C3_UNIVERSAL = 0.56
-C3_IID = 0.4784
-C3_BINOMIAL = 0.4215
-C3_LOWER_BOUND = 0.4097
-
-
-@dataclass(frozen=True)
-class BerryEsseenConstants:
-    """Constant policy: the universal value by default, refinements opt-in.
-
-    For delta < 1 no numeric constant ships with the package; callers must
-    supply their own via `c_user`.
-    """
-
-    c3_universal: float = C3_UNIVERSAL
-    c3_iid: float = C3_IID
-    c3_binomial: float = C3_BINOMIAL
-    c3_lower: float = C3_LOWER_BOUND
-    c_user: float | None = None
-
-    def resolve(self, delta: float = 1.0, regime: str = "universal") -> float:
-        if not (0.0 < delta <= 1.0):
-            raise ParameterError(f"delta must lie in (0, 1], got {delta}")
-        if delta < 1.0:
-            if self.c_user is None:
-                raise ParameterError(
-                    "no built-in normal-approximation constant for delta < 1; supply c_user"
-                )
-            return self.c_user
-        if self.c_user is not None:
-            return self.c_user
-        table = {
-            "universal": self.c3_universal,
-            "iid": self.c3_iid,
-            "binomial": self.c3_binomial,
-        }
-        try:
-            return table[regime]
-        except KeyError:
-            raise ParameterError(f"unknown constant regime {regime!r}") from None
 
 
 @dataclass(frozen=True)

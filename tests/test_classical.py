@@ -169,16 +169,6 @@ class TestBernstein:
             assert bernstein_arg(x, 2.0) < x
 
 
-class TestBoundValue:
-    def test_report_record(self):
-        from sharptail import BoundValue
-
-        val = bennett_bound(1.0, 1.0)
-        bv = BoundValue("bennett", val)
-        assert bv.valid
-        assert bv.to_dict() == {"name": "bennett", "value": val, "valid": True}
-
-
 class TestShapes:
     def test_all_one_at_zero_and_nonincreasing(self):
         sigma, n = math.sqrt(50), 50

@@ -286,6 +286,28 @@ def test_verify_fuzz(capsys, fuzz_files, model, grid, constants):
     assert payload["ok"] is (code == 0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x-grid", "0:1e308:3"],
+    ["bounds", "--x-grid", "0:1e308:3", "--b", "2", "--format", "json"],
+    ["rate", "--y-grid", "0:1e308:3"],
+    ["verify", "--grid", "0:1e308:3"],
+    ["verify", "--grid", "0:1e308:3", "--b", "2"],
+    ["ratio", "--n-list", "10", "--x-max", "1e308", "--points", "3"],
+])
+def test_huge_finite_grid_warns_nothing(capsys, tmp_path, argv):
+    # products with a grid point near the float64 limit overflow to inf,
+    # which each command handles; numpy must not warn about it on stderr
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(model_to_dict(SumModel(((FIVE_ATOM, 100),)))))
+    if argv[0] != "ratio":
+        argv = [*argv, "--model", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == 0 and out
+    assert err == ""
+
+
 @pytest.mark.parametrize("b", ["1e103", "1e300"])
 def test_verify_huge_b(capsys, tmp_path, b):
     # B ** (2 + delta) overflows a float past B ~ 1e102, and B * B * lam * lam
@@ -344,6 +366,13 @@ class TestRatioCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: --x-max must be finite, got {x_max}"]
+
+    @pytest.mark.parametrize("x_max", ["-1", "-1e-300"])
+    def test_negative_x_max_exit_2(self, capsys, x_max):
+        code, out, err = run(capsys, ["ratio", "--n-list", "10", f"--x-max={x_max}"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --x-max must be >= 0, got {float(x_max)}"]
 
 
 class TestVerifyCommand:

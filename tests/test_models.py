@@ -18,7 +18,6 @@ from sharptail import (
     loads_model,
     model_from_dict,
     model_to_dict,
-    moment_profile,
     rademacher,
     rademacher_model,
 )
@@ -131,26 +130,14 @@ class TestSumModel:
 class TestMomentProfile:
     def test_rademacher(self):
         m = rademacher_model(7)
-        prof = moment_profile(m, 1.0)
-        assert prof.b_abs == 1.0
-        assert prof.b_ratio == 1.0
-        assert prof.abs_moment_sum == 7.0
+        assert m.b_ratio == 1.0
+        assert m.abs_moment_sum(3.0) == 7.0
 
     def test_skewed_ratio(self):
         m = SumModel(((SKEWED, 4),))
-        prof = moment_profile(m, 1.0)
         # E|xi|^3 = 0.2 + 0.8/64 = 0.2125, over E xi^2 = 0.25
-        assert prof.b_ratio == pytest.approx(0.85, rel=1e-13)
-
-    def test_fractional_delta(self):
-        m = SumModel(((SKEWED, 1),))
-        prof = moment_profile(m, 0.5)
-        expect = abs_moment(SKEWED, 2.5) ** (1 / 2.5)
-        assert prof.b_abs == pytest.approx(expect, rel=1e-14)
-
-    def test_delta_out_of_range(self):
-        with pytest.raises(ParameterError):
-            moment_profile(rademacher_model(2), 1.5)
+        assert m.b_ratio == pytest.approx(0.85, rel=1e-13)
+        assert m.abs_moment_sum(3.0) == pytest.approx(4 * 0.2125, rel=1e-14)
 
     @given(bounded_dists())
     @settings(max_examples=150, deadline=None)

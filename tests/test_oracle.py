@@ -713,6 +713,47 @@ class TestBentkus:
         with pytest.raises(HypothesisError):
             bentkus_bound(SumModel(((wide, 5),)), 1.0)
 
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_wide_stride_against_mpmath(self, n):
+        # v = sigma^2/n has a six-digit denominator: the strided reference
+        # lattice would need ~1e8 points at n = 100, but the bound needs only
+        # the n + 1 binomial tails T_k.  Near each stride end k the reference
+        # is the exact log-linear interpolation of T around x * sigma, since
+        # the binomial tail is log-concave and so equals its hull.
+        m = extremal_model(0.123457, n)
+        d = m.components[0][0]
+        v = Fraction(m.sigma2 / n).limit_denominator(oracle.DENOMINATOR_CAP)
+        with mpmath.workdps(50):
+            q, p = (mpmath.mpf(float(w)) for w in d.probs)
+            masses = [mpmath.binomial(n, k) * q**(n - k) * p**k for k in range(n + 1)]
+            tails = list(itertools.accumulate(reversed(masses)))[::-1] + [mpmath.mpf(0)]
+            checked = 0
+            for k in range(n + 1):
+                point = k * (1 + v) - n * v  # stride end k of the reference sum
+                if point < 0:
+                    continue
+                x = float(point) / m.sigma
+                u = (Fraction(x * m.sigma) + n * v) / (1 + v)
+                j = min(math.floor(u), n)
+                w = mpmath.mpf((u - j).numerator) / (u - j).denominator
+                log_hull = mpmath.log(tails[j]) if w == 0 else (
+                    (1 - w) * mpmath.log(tails[j]) + w * mpmath.log(tails[j + 1]))
+                expect = min(1.0, float(mpmath.e**2 / 2 * mpmath.exp(log_hull)))
+                if expect > 1e-300:
+                    assert bentkus_bound(m, x) == pytest.approx(expect, rel=1e-12, abs=0.0)
+                    checked += 1
+        assert checked > n // 3
+
+    def test_non_finite_x(self):
+        m = rademacher_model(50)
+        assert bentkus_bound(m, math.inf) == 0.0
+        with pytest.raises(ParameterError):
+            bentkus_bound(m, math.nan)
+
+    def test_million_summands(self):
+        value = bentkus_bound(extremal_model(0.123457, 10**6), 2.0)
+        assert math.isfinite(value) and 0.0 < value <= 1.0
+
     def test_dominates_generic_lattice_models(self):
         # reference variance sigma^2/n need not be a nice rational: the
         # quantized two-point lattice must still dominate comfortably

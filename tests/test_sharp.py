@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sharptail import (
-    BerryEsseenConstants,
+    C3_UNIVERSAL,
     DiscreteDistribution,
     SumModel,
     build_lattice,
@@ -24,7 +24,7 @@ from sharptail import (
     two_sided_multiplier,
 )
 from sharptail.classical import SQRT_2PI, SQRT_PI
-from sharptail.errors import HypothesisError, ParameterError, RangeError
+from sharptail.errors import HypothesisError, RangeError
 
 C0_TWO_SIDED = 2.804189583547756286948      # 2.24 + 1/sqrt(pi)
 C0_SUBGAUSSIAN = 23.87360290306685955045    # sqrt(2) + 16 sqrt(2 pi) 0.56
@@ -277,17 +277,7 @@ class TestIntervalShapes:
 
 class TestConstantsPolicy:
     def test_default_universal(self):
-        c = BerryEsseenConstants()
-        assert c.resolve(1.0) == 0.56
-        assert c.resolve(1.0, "iid") == 0.4784
-        assert c.resolve(1.0, "binomial") == 0.4215
-        assert c.c3_lower == 0.4097
-
-    def test_fractional_delta_requires_user_constant(self):
-        with pytest.raises(ParameterError):
-            BerryEsseenConstants().resolve(0.5)
-        assert BerryEsseenConstants(c_user=0.7).resolve(0.5) == 0.7
-
-    def test_unknown_regime(self):
-        with pytest.raises(ParameterError):
-            BerryEsseenConstants().resolve(1.0, "bogus")
+        # the universal constant is the default; refinements are passed as C
+        m = rademacher_model(100)
+        assert C3_UNIVERSAL == 0.56
+        assert expansion_interval(m, 0.5, 1.0) == expansion_interval(m, 0.5, 1.0, C=0.56)
