@@ -29,21 +29,23 @@ def mills_ratio(x: float) -> float:
     Equals erfcx(x/sqrt(2)) / 2; strictly decreasing from 1/2 at x = 0 and
     sandwiched between 1/(sqrt(2 pi)(1+x)) and 1/(sqrt(pi)(1+x)).
     """
-    if x < 0:
+    if not x >= 0:
         raise ParameterError(f"mills_ratio requires x >= 0, got {x}")
     return 0.5 * float(special.erfcx(x / math.sqrt(2.0)))
 
 
 def _check_x_sigma(x: float, sigma: float) -> None:
-    if x < 0:
+    if not x >= 0:
         raise ParameterError(f"x must be >= 0, got {x}")
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
 
 
 def bennett_log(x: float, sigma: float) -> float:
-    """log of the Bennett bound."""
+    """log of the Bennett bound; -inf once x * sigma overflows."""
     _check_x_sigma(x, sigma)
+    if x * sigma == math.inf:  # the bound itself is 0 there, but inf - inf is nan
+        return -math.inf
     return x * sigma - (sigma * x + sigma * sigma) * math.log1p(x / sigma)
 
 
@@ -55,7 +57,7 @@ def bennett_bound(x: float, sigma: float) -> float:
 def hoeffding_log(x: float, sigma: float, n: int) -> float:
     """log of the Hoeffding bound; -inf beyond the support range x > n/sigma."""
     _check_x_sigma(x, sigma)
-    if n < 1:
+    if not n >= 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     xs = x * sigma
     if xs > n:

@@ -51,22 +51,22 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_VERIFY = 4
 
-#: column -> its cell at x, from the model, the parsed `bounds` flags and the
-#: exact lattice: a number, or a SharpInterval for the four interval columns
+#: column -> its cell at x, from the model and the parsed `bounds` flags: a
+#: number, or a SharpInterval for the four interval columns
 _COLUMNS = {
-    "exact": lambda m, x, a, lat: lat.tail(x * m.sigma, not a.nonstrict),
-    "hoeffding": lambda m, x, a, lat: hoeffding_bound(x, m.sigma, m.n),
-    "bennett": lambda m, x, a, lat: bennett_bound(x, m.sigma),
-    "bernstein": lambda m, x, a, lat: bernstein_bound(x, m.sigma),
-    "chernoff": lambda m, x, a, lat: chernoff_bound(m, x),
-    "mills": lambda m, x, a, lat: mills_ratio(x),
-    "expansion": lambda m, x, a, lat: expansion_interval(
+    "exact": lambda m, x, a: build_lattice(m).tail(x * m.sigma, not a.nonstrict),
+    "hoeffding": lambda m, x, a: hoeffding_bound(x, m.sigma, m.n),
+    "bennett": lambda m, x, a: bennett_bound(x, m.sigma),
+    "bernstein": lambda m, x, a: bernstein_bound(x, m.sigma),
+    "chernoff": lambda m, x, a: chernoff_bound(m, x),
+    "mills": lambda m, x, a: mills_ratio(x),
+    "expansion": lambda m, x, a: expansion_interval(
         m, x, m.b_ratio if a.b is None else a.b, a.delta, a.c3),
-    "saddlepoint": lambda m, x, a, lat: saddlepoint_interval(m, x, a.delta, a.c3),
-    "third_moment": lambda m, x, a, lat: third_moment_interval(m, x),
-    "two_sided": lambda m, x, a, lat: two_sided_interval(m, x),
-    "normal_shape": lambda m, x, a, lat: normal_tail_upper(m, x),
-    "subgaussian": lambda m, x, a, lat: subgaussian_upper(m, x, a.c3),
+    "saddlepoint": lambda m, x, a: saddlepoint_interval(m, x, a.delta, a.c3),
+    "third_moment": lambda m, x, a: third_moment_interval(m, x),
+    "two_sided": lambda m, x, a: two_sided_interval(m, x),
+    "normal_shape": lambda m, x, a: normal_tail_upper(m, x),
+    "subgaussian": lambda m, x, a: subgaussian_upper(m, x, a.c3),
 }
 
 ALL_BOUNDS = tuple(_COLUMNS)
@@ -125,11 +125,11 @@ def _emit_json(out, tag: str, header: list[str], rows):
 # bounds
 # ---------------------------------------------------------------------------
 
-def _cell(name, model, x, args, lattice=None):
+def _cell(name, model, x, args):
     """The column's value at x; None outside its range or past the
     essential sup."""
     try:
-        return _COLUMNS[name](model, x, args, lattice)
+        return _COLUMNS[name](model, x, args)
     except (RangeError, NoSaddlepointError):
         return None
 
@@ -172,10 +172,9 @@ def cmd_bounds(args) -> int:
             if explicit:
                 raise HypothesisError(f"{name} {reason}")
             blank.add(name)
-    lattice = None
     if "exact" in selected:
         try:
-            lattice = build_lattice(model)
+            build_lattice(model)  # built once; the cells read the model's record
         except UnsupportedModelError as exc:
             if explicit:
                 raise
@@ -197,7 +196,7 @@ def cmd_bounds(args) -> int:
     for x in xs:
         row = [float(x)]
         for name in selected:
-            value = None if name in blank else _cell(name, model, x, args, lattice)
+            value = None if name in blank else _cell(name, model, x, args)
             if name in _INTERVALS:
                 row += _interval_cells(value)
             else:
@@ -213,9 +212,12 @@ def cmd_bounds(args) -> int:
 # ratio: exact symmetric +/-1 tails against the scaled-normal x Hoeffding product
 # ---------------------------------------------------------------------------
 
-def ratio_rows(n_list, x_max: float, points: int, tail_floor: float = 1e-12):
+_TAIL_FLOOR = 1e-12
+
+
+def ratio_rows(n_list, x_max: float, points: int):
     """Rows (n, x, exact non-strict tail, Theta*H, ratio); rows whose exact
-    tail falls below `tail_floor` are dropped."""
+    tail falls below `_TAIL_FLOOR` are dropped."""
     rows = []
     for n in n_list:
         model = rademacher_model(n)
@@ -223,7 +225,7 @@ def ratio_rows(n_list, x_max: float, points: int, tail_floor: float = 1e-12):
         sigma = model.sigma
         for x in np.linspace(0.0, x_max, points).tolist():
             p = lattice.tail(x * sigma, strict=False)
-            if p < tail_floor:
+            if p < _TAIL_FLOOR:
                 continue
             approx = mills_ratio(x) * hoeffding_bound(x, sigma, n)
             rows.append((int(n), float(x), p, approx, p / approx))
@@ -257,10 +259,11 @@ def cmd_ratio(args) -> int:
 
 #: tilts at which `verify` checks the normal approximation of the tilted sum
 _NORMAL_APPROX_TILTS = (0.0, 0.05, 0.1)
+#: points of each containment grid, from x = 0 to the bound's check end
+_CONTAINMENT_POINTS = 25
 
 
-def verify_report(model, B: float, delta: float, lambda_grid=None,
-                  containment_points: int = 25) -> dict:
+def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
     report: dict = {"schema_version": SCHEMA_VERSION, "command": "verify"}
 
     curv = check_curvature_condition(model, B, lambda_grid)
@@ -293,7 +296,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None,
         if reason is not None:
             checks.append({"name": name, "skipped": True, "reason": reason})
         else:
-            grids[name] = np.linspace(0.0, BOUNDS[name].check_end(model, B), containment_points)
+            grids[name] = np.linspace(0.0, BOUNDS[name].check_end(model, B), _CONTAINMENT_POINTS)
     # every grid in one batched solve; the intervals read its record
     solve_targets(model, [x * model.sigma for xs in grids.values() for x in xs])
     for name, xs in grids.items():

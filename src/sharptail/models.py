@@ -192,6 +192,13 @@ class SumModel:
         equal or not."""
         return {}
 
+    @cached_property
+    def lattice_record(self) -> dict:
+        """This instance's exact lattice, under the key 0.0 once built (see
+        :func:`sharptail.oracle.build_tilted_lattice`); never shared between
+        instances, equal or not."""
+        return {}
+
     def abs_moment_sum(self, p: float) -> float:
         """sum_i E|xi_i|^p over all n summands."""
         return sum(m * abs_moment(d, p) for d, m in self.components)

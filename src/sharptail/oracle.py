@@ -312,17 +312,21 @@ def _convolve_components(step, layouts, quant):
 
 
 def build_lattice(model: SumModel) -> LatticeDistribution:
-    """Exact distribution of the sum on its rational lattice."""
-    raw = [(d.values, d.probs, m) for d, m in model.components]
-    step, layouts, quant = _lattice_layout(raw)
-    return _convolve_components(step, layouts, quant)
+    """Exact distribution of the sum on its rational lattice (the lam = 0 tilt)."""
+    return build_tilted_lattice(model, 0.0)
 
 
 def build_tilted_lattice(model: SumModel, lam: float) -> LatticeDistribution:
-    """Exact distribution of the sum under the exponential tilt lam."""
-    raw = [(d.values, tilted_stats(d.values, d.probs, lam)[3], m) for d, m in model.components]
-    step, layouts, quant = _lattice_layout(raw)
-    return _convolve_components(step, layouts, quant)
+    """Exact distribution of the sum under the exponential tilt lam >= 0.  At
+    lam = 0 the tilted probabilities are the input bits, so this is the plain
+    lattice, built once per model instance and kept in its `lattice_record`."""
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"lam must be finite and >= 0, got {lam}")
+    record = model.lattice_record if lam == 0.0 else {}  # tilted ones are not kept
+    if lam not in record:
+        raw = [(d.values, tilted_stats(d.values, d.probs, lam)[3], m) for d, m in model.components]
+        record[lam] = _convolve_components(*_lattice_layout(raw))
+    return record[lam]
 
 
 def exact_tail(model: SumModel, threshold: float, strict: bool = True) -> TailEstimate:
@@ -451,10 +455,8 @@ def _component_sampler(dist, mult: int, n_samples: int, lam: float | None = None
             # the step is 1/denominator, so one division rounds the exact sum once
             return _AliasTable((mult * lo + span * np.arange(mult + 1)) / step.denominator,
                                masses)
-        one = SumModel(((dist, mult),))
         try:
-            lat = (build_lattice(one) if lam is None
-                   else build_tilted_lattice(one, lam))
+            lat = _convolve_components(step, [(offsets, probs, mult)], quant)
         except UnsupportedModelError:
             pass
         else:

@@ -56,8 +56,8 @@ _MAX_ITER = 100
 
 
 def _cumulants(model: SumModel, lam: float) -> np.ndarray:
-    if lam < 0:
-        raise ParameterError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"lam must be finite and >= 0, got {lam}")
     values, probs, mults = model.packed_atoms
     return packed_cumulants(values, probs, mults, [lam])[:, 0]
 

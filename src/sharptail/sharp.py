@@ -76,7 +76,7 @@ class BoundSpec:
     def admit(self, model: SumModel, x: float, B: float | None = None):
         """Check x and the hypotheses; return (B, end of the x-range, whether
         x lies in the range)."""
-        if x < 0:
+        if not x >= 0:
             raise ParameterError(f"x must be >= 0, got {x}")
         reason = self.violation(model)
         if reason is not None:
@@ -126,7 +126,7 @@ def _flagged(name, model, x, range_limit, constants):
 def tilt_cap(x: float, sigma: float, B: float) -> float:
     """t = 2r / (1 + sqrt(1 - 4r)) with r = x B / sigma: an upper bound on
     B times the saddle tilt, finite for r < 1/4 and increasing in x."""
-    if x < 0:
+    if not x >= 0:
         raise ParameterError(f"x must be >= 0, got {x}")
     if not (sigma > 0 and B > 0):
         raise ParameterError("sigma and B must be positive")
@@ -259,7 +259,7 @@ def subgaussian_upper(model: SumModel, x: float, C3: float = C3_UNIVERSAL,
 def two_sided_multiplier(x: float, sigma: float) -> float:
     """The band constant c_x for sums with |xi_i| <= 1: at most 3.08 for
     x <= 0.1 sigma, finite up to x = 0.606 sigma."""
-    if x < 0:
+    if not x >= 0:
         raise ParameterError(f"x must be >= 0, got {x}")
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")

@@ -29,6 +29,7 @@ from .models import (
     support_violation,
 )
 from .oracle import build_tilted_lattice
+from .sharp import C3_UNIVERSAL
 
 #: rounding tolerance for "holds": margins are scale-free (divided by sigma^2
 #: or O(1) already), so anything above -1e-10 is float noise on a true inequality
@@ -62,8 +63,8 @@ def tilt(model: SumModel, lam: float) -> TiltedState:
     :class:`NumericalError` is raised unless var + mean^2 matches it to 1e-10
     on its own scale.
     """
-    if lam < 0:
-        raise ParameterError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"lam must be finite and >= 0, got {lam}")
     comps = []
     for dist, m in model.components:
         if lam == 0.0:
@@ -160,8 +161,8 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
 
     # per-row tilted stats across the grid, (L x C) each, and their sums
     values, probs, mults = model.packed_atoms
-    stats, _ = packed_tilt(values, probs, lams)
-    with np.errstate(over="ignore"):  # a check with overflowed margins is skipped
+    with np.errstate(over="ignore"):  # exp(-inf) = 0; overflowed margins skip a check
+        stats, _ = packed_tilt(values, probs, lams)
         psi, bn, varbar = np.add.reduce(stats * mults, axis=2)
 
     upper_ok_B = model.a_max <= B + HYP_TOL
@@ -257,7 +258,7 @@ class NormalApproxReport:
 
 
 def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
-                        C: float = 0.56) -> NormalApproxReport:
+                        C: float = C3_UNIVERSAL) -> NormalApproxReport:
     """Exact sup-distance of the standardized tilted sum from the normal CDF,
     against its Berry-Esseen-type bound.
 
@@ -267,8 +268,8 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
     2^(2+delta) C e^(B lam) sum E|xi_i|^(2+delta) / sigma_bar^(2+delta) with
     B = a_max (the smallest valid support bound).
     """
-    if lam < 0:
-        raise ParameterError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"lam must be finite and >= 0, got {lam}")
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     _, mean, var = packed_cumulants(*model.packed_atoms, [lam])[:, 0].tolist()

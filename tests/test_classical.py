@@ -106,6 +106,11 @@ class TestBennett:
     def test_log_consistency(self):
         assert math.exp(bennett_log(2.0, 3.0)) == bennett_bound(2.0, 3.0)
 
+    @pytest.mark.parametrize("x", [1e308, math.inf])
+    def test_overflowing_product_is_zero(self, x):
+        assert bennett_log(x, 5.0) == -math.inf
+        assert bennett_bound(x, 5.0) == 0.0
+
     def test_invalid(self):
         with pytest.raises(ParameterError):
             bennett_bound(-1.0, 1.0)

@@ -296,16 +296,31 @@ def test_verify_fuzz(capsys, fuzz_files, model, grid, constants):
 ])
 def test_huge_finite_grid_warns_nothing(capsys, tmp_path, argv):
     # products with a grid point near the float64 limit overflow to inf,
-    # which each command handles; numpy must not warn about it on stderr
-    path = tmp_path / "five.json"
+    # which each command handles; numpy must not warn about it on stderr.
+    # Rademacher atoms span 2, so lam * span overflows too; FIVE_ATOM's 1.75
+    # keeps it finite.
+    for dist in (FIVE_ATOM, rademacher()):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(SumModel(((dist, 100),)))))
+        cmd = argv if argv[0] == "ratio" else [*argv, "--model", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, cmd)
+        assert code == 0 and out
+        assert err == ""
+
+
+def test_overflowing_x_sigma_reads_zero(capsys, tmp_path):
+    # at x = 5e307 and 1e308, x * sigma overflows; every closed-form bound
+    # is 0 there, not a blank cell
+    path = tmp_path / "five100.json"
     path.write_text(json.dumps(model_to_dict(SumModel(((FIVE_ATOM, 100),)))))
-    if argv[0] != "ratio":
-        argv = [*argv, "--model", str(path)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, argv)
-    assert code == 0 and out
-    assert err == ""
+    code, out, _ = run(capsys, ["bounds", "--model", str(path), "--x-grid", "0:1e308:3",
+                                "--bounds", "bennett,bernstein,hoeffding"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["x", "bennett", "bernstein", "hoeffding"]
+    assert [r[1:] for r in rows[1:]] == [["0", "0", "0"]] * 2
 
 
 @pytest.mark.parametrize("b", ["1e103", "1e300"])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -18,14 +19,17 @@ from sharptail import (
     expansion_interval,
     extremal_model,
     hoeffding_extremal,
+    loads_model,
     log_concave_hull,
     mc_tail,
+    model_to_dict,
     rademacher,
     rademacher_model,
     tilted_mc_tail,
 )
 from sharptail.errors import HypothesisError, ParameterError, UnsupportedModelError
 from sharptail import oracle
+from sharptail.cli import verify_report
 from sharptail.oracle import (
     _MC_CHUNK,
     _TAIL_BLOCK,
@@ -155,6 +159,50 @@ class TestExactTail:
         d = DiscreteDistribution(((a, 0.5), (-a, 0.5)))
         lat = build_lattice(SumModel(((d, 3),)))
         assert 0.0 < lat.quantization_error < 1e-11
+
+
+class TestLatticeRecord:
+    """The plain lattice is the lam = 0 tilted build, made once per instance."""
+
+    def test_built_once_per_instance(self):
+        m = SumModel(((FIVE_ATOM, 7),))
+        lat = build_lattice(m)
+        assert build_lattice(m) is lat
+        assert build_tilted_lattice(m, 0.0) is lat
+        assert exact_tail(m, m.sigma).p == lat.tail(m.sigma)
+
+    def test_equal_models_do_not_share(self):
+        text = json.dumps(model_to_dict(SumModel(((FIVE_ATOM, 7),))))
+        a, b = loads_model(text), loads_model(text)
+        assert a == b
+        assert build_lattice(a) is not build_lattice(b)
+
+    def test_tilted_lattices_not_recorded(self):
+        m = SumModel(((FIVE_ATOM, 7),))
+        assert build_tilted_lattice(m, 0.05) is not build_tilted_lattice(m, 0.05)
+        assert m.lattice_record == {}
+        build_lattice(m)
+        assert list(m.lattice_record) == [0.0]
+
+    def test_refused_build_raises_each_time(self, monkeypatch):
+        m = SumModel(((FIVE_ATOM, 7),))  # 246 lattice points
+        monkeypatch.setattr(oracle, "MAX_LATTICE_POINTS", 100)
+        for _ in range(2):
+            with pytest.raises(UnsupportedModelError):
+                build_lattice(m)
+        monkeypatch.undo()
+        assert len(build_lattice(m)) == 246
+
+    def test_verify_convolves_three_times(self, monkeypatch):
+        # the containment oracle and the lam = 0 normal-approximation check
+        # read one build; lam = 0.05 and 0.1 convolve once each
+        calls = []
+        kernel = oracle.convolve_repeat
+        monkeypatch.setattr(oracle, "convolve_repeat",
+                            lambda *args: calls.append(1) or kernel(*args))
+        m = SumModel(((FIVE_ATOM, 400),))
+        assert verify_report(m, m.b_ratio, 1.0)["ok"]
+        assert len(calls) == 3
 
 
 def two_atom_repeat(masses, span, probs, times):
@@ -491,11 +539,12 @@ class TestAliasSampler:
 
     def test_unsupported_lattice_falls_back(self, monkeypatch):
         # FIVE_ATOM x 7 needs 246 lattice points; a two-atom table needs no
-        # lattice, so the cap does not touch it
-        m = SumModel(((FIVE_ATOM, 7),))
-        thr = m.sigma
-        exact = build_lattice(m).tail(thr, True)
+        # lattice, so the cap does not touch it.  The exact tail comes from
+        # another instance, built before the cap is lowered.
+        thr = SumModel(((FIVE_ATOM, 7),)).sigma
+        exact = build_lattice(SumModel(((FIVE_ATOM, 7),))).tail(thr, True)
         monkeypatch.setattr(oracle, "MAX_LATTICE_POINTS", 100)
+        m = SumModel(((FIVE_ATOM, 7),))
         with pytest.raises(UnsupportedModelError):
             build_lattice(m)
         assert isinstance(_component_sampler(FIVE_ATOM, 7, 10**5), _Multinomial)

@@ -7,12 +7,20 @@ from sharptail import (
     C3_UNIVERSAL,
     DiscreteDistribution,
     SumModel,
+    bennett_bound,
+    bernstein_bound,
+    berry_esseen_tilted,
     build_lattice,
+    build_tilted_lattice,
     chernoff_bound,
+    cumulant,
+    cumulant_deriv,
     expansion_error,
     expansion_interval,
     extremal_model,
     hoeffding_bound,
+    hoeffding_log,
+    mills_ratio,
     normal_tail_upper,
     rademacher_model,
     saddlepoint_interval,
@@ -24,7 +32,10 @@ from sharptail import (
     two_sided_multiplier,
 )
 from sharptail.classical import SQRT_2PI, SQRT_PI
-from sharptail.errors import HypothesisError, RangeError
+from sharptail.errors import HypothesisError, ParameterError, RangeError
+from sharptail.tilting import tilt
+
+from conftest import FIVE_ATOM
 
 C0_TWO_SIDED = 2.804189583547756286948      # 2.24 + 1/sqrt(pi)
 C0_SUBGAUSSIAN = 23.87360290306685955045    # sqrt(2) + 16 sqrt(2 pi) 0.56
@@ -281,3 +292,38 @@ class TestConstantsPolicy:
         m = rademacher_model(100)
         assert C3_UNIVERSAL == 0.56
         assert expansion_interval(m, 0.5, 1.0) == expansion_interval(m, 0.5, 1.0, C=0.56)
+        assert berry_esseen_tilted(m, 0.1) == berry_esseen_tilted(m, 0.1, C=C3_UNIVERSAL)
+
+
+_FIVE = SumModel(((FIVE_ATOM, 100),))
+_RAD = rademacher_model(100)
+
+
+@pytest.mark.parametrize("call,names", [
+    pytest.param(lambda: hoeffding_bound(math.nan, 5.0, 100), "x", id="hoeffding"),
+    pytest.param(lambda: bennett_bound(math.nan, 5.0), "x", id="bennett"),
+    pytest.param(lambda: bernstein_bound(math.nan, 5.0), "x", id="bernstein"),
+    pytest.param(lambda: mills_ratio(math.nan), "x", id="mills"),
+    pytest.param(lambda: tilt_cap(math.nan, 5.0, 1.0), "x", id="tilt_cap"),
+    pytest.param(lambda: two_sided_multiplier(math.nan, 5.0), "x", id="two_sided_multiplier"),
+    pytest.param(lambda: expansion_interval(_FIVE, math.nan, 1.0), "x", id="expansion"),
+    pytest.param(lambda: third_moment_interval(_FIVE, math.nan), "x", id="third_moment"),
+    pytest.param(lambda: two_sided_interval(_FIVE, math.nan), "x", id="two_sided"),
+    pytest.param(lambda: normal_tail_upper(_FIVE, math.nan), "x", id="normal_shape"),
+    pytest.param(lambda: subgaussian_upper(_RAD, math.nan), "x", id="subgaussian"),
+    pytest.param(lambda: build_tilted_lattice(_FIVE, math.nan), "lam", id="tilted_lattice_nan"),
+    pytest.param(lambda: build_tilted_lattice(_FIVE, math.inf), "lam", id="tilted_lattice_inf"),
+    pytest.param(lambda: build_tilted_lattice(_FIVE, -800.0), "lam", id="tilted_lattice_negative"),
+    pytest.param(lambda: berry_esseen_tilted(_FIVE, math.nan), "lam", id="berry_esseen_nan"),
+    pytest.param(lambda: tilt(_FIVE, math.nan), "lam", id="tilt_nan"),
+    pytest.param(lambda: cumulant(_FIVE, math.nan), "lam", id="cumulant_nan"),
+    pytest.param(lambda: cumulant_deriv(_FIVE, math.inf), "lam", id="cumulant_deriv_inf"),
+    pytest.param(lambda: hoeffding_log(1.0, 5.0, math.nan), "n", id="hoeffding_n_nan"),
+])
+def test_nan_or_bad_tilt_is_a_parameter_error(call, names):
+    # never a nan result, an out-of-range interval, a RangeError or a
+    # ValueError from deep inside a build
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError
+    assert str(info.value).startswith(f"{names} must be") or f"requires {names}" in str(info.value)

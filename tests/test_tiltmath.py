@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 
 from sharptail import SumModel, build_lattice, build_tilted_lattice, model_to_dict
 from sharptail._tiltmath import packed_tilt, tilted_stats
+from sharptail.oracle import _convolve_components, _lattice_layout
 from sharptail.cli import main
 
 from conftest import FIVE_ATOM, _centered_dist
@@ -75,9 +76,16 @@ def test_zero_tilt_is_the_identity(model):
     assert np.array_equal(tp[1], probs)
     for dist, _ in model.components:
         assert np.array_equal(tilted_stats(dist.values, dist.probs, 0.0)[3], dist.probs)
-    tilted, plain = build_tilted_lattice(model, 0.0), build_lattice(model)
-    assert (tilted.step, tilted.base) == (plain.step, plain.base)
-    assert np.array_equal(tilted.masses, plain.masses)
+    # the plain lattice of an equal model built separately, and the fold of
+    # the untilted layout: build_lattice is this very build, so neither is
+    # the same object
+    tilted, plain = build_tilted_lattice(model, 0.0), build_lattice(SumModel(model.components))
+    untilted = _convolve_components(*_lattice_layout(
+        [(d.values, d.probs, m) for d, m in model.components]))
+    for other in (plain, untilted):
+        assert other is not tilted
+        assert (tilted.step, tilted.base) == (other.step, other.base)
+        assert np.array_equal(tilted.masses, other.masses)
 
 
 def test_tilted_variance_margins_vanish_at_zero(capsys, tmp_path):
