@@ -361,6 +361,8 @@ def cmd_mc(args) -> int:
     model = load_model(args.model)
     strict = not args.nonstrict
     threshold = args.x * model.sigma
+    if not math.isfinite(threshold):
+        raise ParameterError(f"--x {args.x} times sigma {model.sigma} overflows float64")
     if args.method == "tilted":
         est = tilted_mc_tail(model, threshold, strict, args.samples, args.seed)
     else:

@@ -324,7 +324,8 @@ def build_tilted_lattice(model: SumModel, lam: float) -> LatticeDistribution:
         raise ParameterError(f"lam must be finite and >= 0, got {lam}")
     record = model.lattice_record if lam == 0.0 else {}  # tilted ones are not kept
     if lam not in record:
-        raw = [(d.values, tilted_stats(d.values, d.probs, lam)[3], m) for d, m in model.components]
+        raw = [(d.values, d.probs if lam == 0.0 else tilted_stats(d.values, d.probs, lam)[3], m)
+               for d, m in model.components]
         record[lam] = _convolve_components(*_lattice_layout(raw))
     return record[lam]
 

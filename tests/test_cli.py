@@ -286,6 +286,27 @@ def test_verify_fuzz(capsys, fuzz_files, model, grid, constants):
     assert payload["ok"] is (code == 0)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    model=hst.sampled_from(sorted(_FUZZ_MODELS)),
+    x=hst.floats(allow_nan=False, allow_infinity=False),
+    samples=hst.integers(-1, 2000),
+    method=hst.sampled_from(["mc", "tilted"]),
+    strict=hst.sampled_from(["--strict", "--nonstrict"]),
+)
+def test_mc_fuzz(capsys, fuzz_files, model, x, samples, method, strict):
+    argv = ["mc", "--model", str(fuzz_files[model]), f"--x={x!r}", f"--samples={samples}",
+            "--method", method, strict, "--seed", "5"]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    payload = _strict_json(out)
+    assert payload["estimate"]["n_samples"] == samples
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--x-grid", "0:1e308:3"],
     ["bounds", "--x-grid", "0:1e308:3", "--b", "2", "--format", "json"],

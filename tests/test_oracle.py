@@ -193,16 +193,26 @@ class TestLatticeRecord:
         monkeypatch.undo()
         assert len(build_lattice(m)) == 246
 
-    def test_verify_convolves_three_times(self, monkeypatch):
-        # the containment oracle and the lam = 0 normal-approximation check
-        # read one build; lam = 0.05 and 0.1 convolve once each
+    def test_plain_build_runs_no_tilt(self, monkeypatch):
+        # lam = 0 takes the input probabilities as they are
+        def tilt(*args):
+            raise AssertionError("tilted_stats called at lam = 0")
+        monkeypatch.setattr(oracle, "tilted_stats", tilt)
+        m = SumModel(((FIVE_ATOM, 7), (rademacher(), 5)))
+        untilted = oracle._convolve_components(*_lattice_layout(
+            [(d.values, d.probs, k) for d, k in m.components]))
+        assert np.array_equal(build_lattice(m).masses, untilted.masses)
+
+    def test_verify_convolves_once(self, monkeypatch):
+        # the containment oracle and every normal-approximation check read
+        # one build; lam = 0.05 and 0.1 reweight it
         calls = []
         kernel = oracle.convolve_repeat
         monkeypatch.setattr(oracle, "convolve_repeat",
                             lambda *args: calls.append(1) or kernel(*args))
         m = SumModel(((FIVE_ATOM, 400),))
         assert verify_report(m, m.b_ratio, 1.0)["ok"]
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 def two_atom_repeat(masses, span, probs, times):

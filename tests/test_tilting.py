@@ -2,29 +2,36 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import special
 
 from sharptail import (
     DiscreteDistribution,
     SumModel,
     berry_esseen_tilted,
+    build_lattice,
     build_tilted_lattice,
     extremal_model,
     inequality_suite,
+    load_model,
     rademacher,
     rademacher_model,
     tilt,
 )
 import sharptail
-from sharptail import tilting
-from sharptail._tiltmath import tilted_stats
+from sharptail import oracle, tilting
+from sharptail._tiltmath import packed_cumulants, tilted_stats
 from sharptail.errors import NumericalError, ParameterError
 
 from conftest import random_model, sum_models
+from golden import capture
 
 SKEWED = DiscreteDistribution(((1.0, 0.2), (-0.25, 0.8)))
 
@@ -190,3 +197,115 @@ class TestBerryEsseenTilted:
         assert rep.bounded_bound is None
         assert rep.bound == rep.moment_bound
         assert rep.holds
+
+
+def _sup_distance(values, cdf, mean, sbar):
+    """The Kolmogorov distance of a lattice CDF from the normal, as
+    `berry_esseen_tilted` takes it: both sides of every jump."""
+    phi = special.ndtr((values - mean) / sbar)
+    prev = np.concatenate(([0.0], cdf[:-1]))
+    return float(max(np.abs(cdf - phi).max(), np.abs(phi - prev).max()))
+
+
+def _direct_report_distance(model, lam):
+    """sup_distance read off the directly built tilted lattice."""
+    _, mean, var = packed_cumulants(*model.packed_atoms, [lam])[:, 0].tolist()
+    lat = build_tilted_lattice(model, lam)
+    return _sup_distance(lat.values, np.cumsum(lat.masses), mean, math.sqrt(var))
+
+
+def _reweighted_cdf(model, lam):
+    """The plain lattice's CDF under the exponential tilt lam."""
+    cum = packed_cumulants(*model.packed_atoms, [lam])[0, 0]
+    lat = build_lattice(model)
+    return np.cumsum(lat.masses * np.exp(lam * lat.values - cum))
+
+
+def _golden_and_benchmark_models():
+    models = dict(capture.built_models())
+    for name in capture.PERFBENCH_MODELS:
+        models[name] = load_model(capture.ROOT / "perfbench" / "models" / f"{name}.json")
+    return models
+
+
+_MODELS = _golden_and_benchmark_models()
+
+
+def _forbid_builds(monkeypatch):
+    """Fail any lattice build from here on."""
+    def build(*args):
+        raise AssertionError("convolved")
+    monkeypatch.setattr(oracle, "_convolve_components", build)
+
+
+class TestReweightedTiltedCdf:
+    @pytest.mark.parametrize("lam", [0.05, 0.1])
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    def test_matches_direct_build(self, monkeypatch, name, lam):
+        m = _MODELS[name]
+        build_lattice(m)
+        direct = build_tilted_lattice(m, lam)
+        _forbid_builds(monkeypatch)
+        rep = berry_esseen_tilted(m, lam)
+        cdf, direct_cdf = _reweighted_cdf(m, lam), np.cumsum(direct.masses)
+        assert np.abs(cdf - direct_cdf).max() <= 1e-13
+        _, mean, _ = packed_cumulants(*m.packed_atoms, [lam])[:, 0].tolist()
+        assert rep.sup_distance == _sup_distance(direct.values, cdf, mean, rep.sigma_bar)
+        direct_sup = _sup_distance(direct.values, direct_cdf, mean, rep.sigma_bar)
+        assert abs(rep.sup_distance - direct_sup) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1])
+    def test_no_further_from_40_digits_than_direct(self, lam):
+        # the tilted atom law to 45 digits, convolved in 140-bit fixed point
+        m = _MODELS["five100"]
+        (dist, n), = m.components
+        lat = build_lattice(m)
+        bits = 140
+        with mpmath.workdps(45):
+            w = [mpmath.mpf(p) * mpmath.exp(mpmath.mpf(lam) * mpmath.mpf(v))
+                 for v, p in dist.atoms]
+            q = [int(mpmath.floor(x / mpmath.fsum(w) * 2**bits)) for x in w]
+        offsets = [int((Fraction(v) - Fraction(dist.lower)) / lat.step) for v in dist.values]
+        masses = np.array([1 << bits], dtype=object)
+        for _ in range(n):
+            nxt = np.zeros(len(masses) + offsets[-1], dtype=object)
+            for off, qk in zip(offsets, q):
+                nxt[off:off + len(masses)] += (masses * qk) >> bits
+            masses = nxt
+        exact = [Fraction(int(c), 1 << bits) for c in np.cumsum(masses)]
+
+        def error(cdf):
+            return max(abs(Fraction(c) - e) for c, e in zip(cdf.tolist(), exact))
+        direct = error(np.cumsum(build_tilted_lattice(m, lam).masses))
+        assert error(_reweighted_cdf(m, lam)) <= direct <= 1e-14
+
+    @pytest.mark.parametrize("model, lam", [
+        (rademacher_model(2000), 0.5),  # log U + 760 exceeds 1022 ln 2 = 708
+        (SumModel(((DiscreteDistribution(((-0.25 - 2**-40, 0.5), (0.25 + 2**-40, 0.5))),
+                    30),)), 0.1),       # quantized: the atoms are snapped to -1/4 and 1/4
+    ], ids=["rademacher2000", "quantized"])
+    def test_guard_falls_back_to_direct_build(self, monkeypatch, model, lam):
+        calls = []
+        direct = oracle.build_tilted_lattice
+        monkeypatch.setattr(tilting, "build_tilted_lattice",
+                            lambda *args: calls.append(args) or direct(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = berry_esseen_tilted(model, lam)
+        assert calls == [(model, lam)]
+        assert rep.sup_distance == _direct_report_distance(model, lam)
+
+    def test_naive_reweight_breaks_where_the_guard_fails(self):
+        # why the guard runs before exp: the top weight overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_reweighted_cdf(rademacher_model(2000), 0.5)).any()
+
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    def test_zero_tilt_reads_the_plain_masses(self, monkeypatch, name):
+        m = _MODELS[name]
+        lat = build_lattice(m)
+        _forbid_builds(monkeypatch)
+        rep = berry_esseen_tilted(m, 0.0)
+        _, mean, var = packed_cumulants(*m.packed_atoms, [0.0])[:, 0].tolist()
+        assert rep.sup_distance == _sup_distance(lat.values, np.cumsum(lat.masses), mean,
+                                                 math.sqrt(var))
