@@ -230,10 +230,11 @@ def fenchel_legendre(model: SumModel, y: float) -> float:
     """Rate at mean level y: sup_(lam >= 0) { lam y - cum(lam)/n }.
 
     Zero for y <= 0 (the one-sided transform); consistent with
-    chernoff_bound via exp(-n * rate(x sigma / n)).
+    chernoff_bound via exp(-n * rate(x sigma / n)).  Never negative: lam = 0
+    gives 0, and a rounding of cum(lam) past lam y at a tiny y is clipped.
     """
     if y <= 0.0:
         return 0.0
     n = model.n
     sp = solve_target(model, n * y)
-    return sp.lam * y - sp.cumulant_value / n
+    return max(0.0, sp.lam * y - sp.cumulant_value / n)

@@ -14,10 +14,12 @@ run
     python3 tests/golden/capture.py --against DIR
 
 which writes no fixture and prints each case whose exit code or stdout
-differs, with the largest relative change in each numeric field.  Models
-built here are written to a temporary directory; the benchmark's model files
-under `perfbench/models` are only read.  Each stored argv names its model
-file as "{model}".
+differs, with every field that changed (list entries one by one, such as
+`normal_approx[3].sup_distance` or the CSV cell `hoeffding[4]`) and, for
+each list with a changed entry, how many of its entries kept their bits.
+Models built here are written to a temporary directory; the benchmark's
+model files under `perfbench/models` are only read.  Each stored argv names
+its model file as "{model}".
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
-import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -115,22 +117,24 @@ def outputs(src: Path) -> dict:
                 for case, (model, argv) in cases().items()}
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def fields(stdout: str) -> dict:
-    """Field name -> values of one output: the key paths of a JSON output
-    (a list element named by its "name" key, else "[]"), or the columns of a
-    CSV output."""
+    """Value of each field of one output, by path: the key path of a JSON
+    leaf, with list elements indexed (`normal_approx[3].sup_distance`) or, if
+    they have a "name" key, named (`containment[two_sided].holds`); or a CSV
+    cell as `column[row]`, rows counted from 0."""
     try:
         obj = json.loads(stdout)
     except ValueError:
         lines = [ln.split(",") for ln in stdout.splitlines() if not ln.startswith("#")]
-        out: dict = {}
-        for row in lines[1:]:
-            for name, cell in zip(lines[0], row):
-                try:
-                    out.setdefault(name, []).append(float(cell))
-                except ValueError:
-                    out.setdefault(name, []).append(cell)
-        return out
+        return {f"{name}[{i}]": _cell(cell)
+                for i, row in enumerate(lines[1:]) for name, cell in zip(lines[0], row)}
     out = {}
 
     def walk(node, path):
@@ -138,11 +142,11 @@ def fields(stdout: str) -> dict:
             for key, value in node.items():
                 walk(value, f"{path}.{key}" if path else key)
         elif isinstance(node, list):
-            for value in node:
+            for i, value in enumerate(node):
                 named = isinstance(value, dict) and "name" in value
-                walk(value, f"{path}[{value['name']}]" if named else f"{path}[]")
+                walk(value, f"{path}[{value['name'] if named else i}]")
         else:
-            out.setdefault(path, []).append(node)
+            out[path] = node
     walk(obj, "")
     return out
 
@@ -151,30 +155,40 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _relative(pair) -> float:
-    x, y = pair
+def _relative(x, y) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+#: one list index or name inside a field path
+_ENTRY = re.compile(r"\[[^][]*\]")
+
+
 def field_changes(old: str, new: str) -> list[str]:
-    """One line per way a field differs: its largest relative change
-    |a - b| / max(|a|, |b|) with the two values, its first non-numeric
-    change (a blank cell, a flag), or its number of values."""
+    """One line per field whose value differs: its relative change
+    |a - b| / max(|a|, |b|) with the two values, or the two values when
+    either is not a number ("absent" in an output without the field).  Then
+    one line per list with a changed entry: how many of its entries kept
+    every bit."""
     a, b = fields(old), fields(new)
     lines = []
-    for name in dict.fromkeys([*a, *b]):
-        va, vb = a.get(name, []), b.get(name, [])
-        if len(va) != len(vb):
-            lines.append(f"  {name}: {len(va)} -> {len(vb)} values")
+    kept: dict = {}  # list path -> {entry path: every field of it unchanged}
+    for path in dict.fromkeys([*a, *b]):
+        x, y = a.get(path), b.get(path)
+        same = path in a and path in b and (x == y or (x != x and y != y))
+        for m in _ENTRY.finditer(path):
+            entries = kept.setdefault(path[:m.start()], {})
+            entries[path[:m.end()]] = entries.get(path[:m.end()], True) and same
+        if same:
             continue
-        diffs = [(x, y) for x, y in zip(va, vb) if x != y and not (x != x and y != y)]
-        numeric = [d for d in diffs if _number(d[0]) and _number(d[1])]
-        other = [d for d in diffs if d not in numeric]
-        if other:
-            lines.append(f"  {name}: {other[0][0]!r} -> {other[0][1]!r}")
-        if numeric:
-            x, y = max(numeric, key=_relative)
-            lines.append(f"  {name}: relative change {_relative((x, y)):.3g} ({x!r} -> {y!r})")
+        if _number(x) and _number(y):
+            lines.append(f"  {path}: relative change {_relative(x, y):.3g} ({x!r} -> {y!r})")
+        else:
+            shown = [repr(d[path]) if path in d else "absent" for d in (a, b)]
+            lines.append(f"  {path}: {shown[0]} -> {shown[1]}")
+    for name, entries in kept.items():
+        if not all(entries.values()):
+            lines.append(f"  {name}[]: {sum(entries.values())} of {len(entries)} "
+                         f"entries kept their bits")
     return lines
 
 

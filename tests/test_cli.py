@@ -212,8 +212,9 @@ def fuzz_files(tmp_path_factory):
     return paths
 
 
-def _parse_bounds(out, fmt):
-    """(header, rows as lists of floats or None) of a `bounds` stdout."""
+def _parse_table(out, fmt):
+    """(header, rows as lists of floats or None) of a `bounds`, `rate` or
+    `ratio` stdout."""
     if fmt == "json":
         rows = json.loads(out)["rows"]
         header = list(rows[0]) if rows else []
@@ -246,7 +247,7 @@ def test_bounds_fuzz(capsys, fuzz_files, model, grid, columns, constants, fmt, s
     if code != 0:
         assert out == "" and len(err.splitlines()) == 1
         return
-    header, rows = _parse_bounds(out, fmt)
+    header, rows = _parse_table(out, fmt)
     for row in rows:
         cells = dict(zip(header, row))
         for name in cli.ALL_BOUNDS:
@@ -305,6 +306,78 @@ def test_mc_fuzz(capsys, fuzz_files, model, x, samples, method, strict):
         return
     payload = _strict_json(out)
     assert payload["estimate"]["n_samples"] == samples
+
+
+def _table_rows(out, fmt, header):
+    """Rows of a `rate` or `ratio` stdout as dicts, after checking that JSON
+    output is strict JSON and that the header is `header`."""
+    if fmt == "json":
+        _strict_json(out)
+    got, rows = _parse_table(out, fmt)
+    assert got == header
+    return [dict(zip(header, r)) for r in rows]
+
+
+_GRID_ENDS = ["0", "0.5", "1", "-0.5", "-1", "3", "nan", "inf", "-inf", "1e-300", "1e300"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    model=hst.sampled_from(sorted(_FUZZ_MODELS)),
+    grid=hst.tuples(hst.sampled_from(_GRID_ENDS), hst.sampled_from(_GRID_ENDS),
+                    hst.sampled_from(["-1", "0", "1", "2", "7", "x"])).map(":".join),
+    fmt=hst.sampled_from(["csv", "json"]),
+)
+def test_rate_fuzz(capsys, fuzz_files, model, grid, fmt):
+    argv = ["rate", "--model", str(fuzz_files[model]), f"--y-grid={grid}", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    rows = _table_rows(out, fmt, ["y", "rate", "lambda", "chernoff", "valid"])
+    assert len(rows) == int(grid.split(":")[2])
+    for row in rows:
+        if row["valid"]:
+            assert row["rate"] >= 0.0 and row["lambda"] >= 0.0, row
+            assert 0.0 <= row["chernoff"] <= 1.0, row
+        else:
+            assert row["rate"] is row["lambda"] is row["chernoff"] is None, row
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_list=hst.lists(hst.sampled_from(["1", "2", "10", "37", "0", "-1", "-10", "1000000000",
+                                       "x", ""]), min_size=1, max_size=3).map(",".join),
+    x_max=hst.none() | hst.sampled_from(["0", "1e-300", "0.5", "3", "40", "1e300",
+                                         "-1", "nan", "inf", "-inf"]),
+    points=hst.none() | hst.sampled_from(["-1", "0", "1", "2", "31", "257", "1.5"]),
+    fmt=hst.sampled_from(["csv", "json"]),
+)
+def test_ratio_fuzz(capsys, n_list, x_max, points, fmt):
+    argv = ["ratio", f"--n-list={n_list}", "--format", fmt]
+    if x_max is not None:
+        argv.append(f"--x-max={x_max}")
+    if points is not None:
+        argv.append(f"--points={points}")
+    try:
+        code, out, err = run(capsys, argv)
+    except SystemExit as exc:  # argparse refuses a --points that is not an integer
+        code, (out, err) = exc.code, capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("usage:"), err
+        return
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    rows = _table_rows(out, fmt, ["n", "x", "exact_tail", "theta_hoeffding", "ratio"])
+    ns = {int(n) for n in n_list.split(",")}
+    for row in rows:
+        assert row["n"] in ns
+        assert 1e-12 <= row["exact_tail"] <= 1.0, row
+        assert row["theta_hoeffding"] > 0.0 and row["ratio"] > 0.0, row
 
 
 @pytest.mark.parametrize("argv", [
@@ -477,6 +550,15 @@ class TestRateCommand:
         header, rows = parse_csv(out)
         flags = [dict(zip(header, r))["valid"] for r in rows]
         assert flags == ["1", "0", "0"]
+
+    def test_tiny_y_rate_not_negative(self, capsys, tmp_path):
+        # cum(lam) rounds a few ulps past lam * y here; the rate read -3.5e-300
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(model_to_dict(SumModel(((FIVE_ATOM, 50),)))))
+        code, out, _ = run(capsys, ["rate", "--model", str(path), "--y-grid", "0:1e-300:2"])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [dict(zip(header, r))["rate"] for r in rows] == ["0", "0"]
 
 
 class TestMcCommand:

@@ -493,6 +493,39 @@ class TestAliasSampler:
         # 15 points: chi-square with 14 degrees of freedom, 36.1 is its 0.999 quantile
         assert chi2 < 36.1
 
+    def test_draw_takes_one_uniform_per_row(self):
+        # FIVE_ATOM x 7 has 246 points, not a power of 2, so u * n rounds
+        table = _component_sampler(FIVE_ATOM, 7, 10**6)
+        n = len(table.prob)
+        assert n & (n - 1)
+        x = _component_rng(11, 0).random(5000) * n
+        col = np.minimum(x.astype(np.intp), n - 1)
+        coin = x - col
+        want = np.where(coin < table.prob[col], table.values[col], table.values[table.alias[col]])
+        got = table.draw(_component_rng(11, 0), 5000)
+        assert got.tolist() == want.tolist()
+
+    def test_lopsided_table_chi_square(self):
+        # mix600's five-atom block: 3,415 points whose masses span about 90
+        # orders of magnitude, so most columns borrow from an alias and a
+        # coin correlated with its column would skew the counts
+        lat = build_lattice(SumModel(((FIVE_ATOM, 100),)))
+        table = _component_sampler(FIVE_ATOM, 100, 10**6)
+        draws = table.draw(_component_rng(2, 0), 10**6)
+        idx = np.searchsorted(table.values, draws)
+        assert table.values[idx].tolist() == draws.tolist()
+        counts = np.bincount(idx, minlength=len(table.values))
+        expected = 10**6 * lat.masses[lat.masses > 0.0]
+        assert len(expected) == 3415
+        big = expected >= 5.0
+        # 775 cells expect at least 5 draws; the other 2,640 are pooled into one
+        obs = np.append(counts[big], counts[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        dof = len(obs) - 1
+        assert dof == 775
+        z = (float(((obs - exp) ** 2 / exp).sum()) - dof) / math.sqrt(2 * dof)
+        assert abs(z) < 4.0, z
+
     @pytest.mark.parametrize("n", [10**5, 10**6])
     def test_mix600_blocks_take_the_table(self, n):
         # 10^5 is the CLI's default --samples
