@@ -1,17 +1,17 @@
 """Closed-form classical tail bounds and the scaled normal-tail functions.
 
 Everything here is evaluated in log space and exponentiated last, because the
-exponents reach order n ~ 1e4 in the sweeps.  The scaled Gaussian tail
-(Mill's ratio) goes through scipy's erfcx instead of the literal product
-(1 - Phi(x)) * exp(x^2/2), which overflows past x ~ 37.
+exponents reach order n ~ 1e4 in the sweeps.  Phi and the scaled Gaussian
+tail (Mill's ratio) come from :mod:`sharptail._normal`; the ratio goes
+through its erfcx instead of the literal product (1 - Phi(x)) * exp(x^2/2),
+which overflows past x ~ 37.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import special
-
+from ._normal import erfcx_scalar, ndtr_scalar
 from .errors import ParameterError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -19,8 +19,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def normal_cdf(x: float) -> float:
-    """Standard normal distribution function Phi(x)."""
-    return float(special.ndtr(x))
+    """Standard normal distribution function Phi(x); Phi(-x) is the upper
+    tail to full relative accuracy."""
+    return ndtr_scalar(float(x))
 
 
 def mills_ratio(x: float) -> float:
@@ -31,7 +32,7 @@ def mills_ratio(x: float) -> float:
     """
     if not x >= 0:
         raise ParameterError(f"mills_ratio requires x >= 0, got {x}")
-    return 0.5 * float(special.erfcx(x / math.sqrt(2.0)))
+    return 0.5 * erfcx_scalar(float(x) / math.sqrt(2.0))
 
 
 def _check_x_sigma(x: float, sigma: float) -> None:

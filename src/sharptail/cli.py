@@ -46,6 +46,14 @@ from .tilting import berry_esseen_tilted, inequality_suite
 
 SCHEMA_VERSION = 1
 
+# glibc mmaps blocks above its mmap threshold (128 KiB at start) and trims
+# freed heap above twice that; freeing an mmapped block raises the threshold
+# to the block's size (mallopt(3)).  Until that happens, the numpy temporaries
+# of a command are mapped afresh on every call: `verify` on five400 faulted
+# about 800 pages back in per call.  One 1 MiB array, allocated and freed at
+# once, raises the thresholds to 1 and 2 MiB for the process.
+np.empty(1 << 17)
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3

@@ -401,7 +401,8 @@ class _AliasTable:
         pos = np.flatnonzero(masses > 0.0)
         self.values = values[pos]
         self.prob, self.alias = _alias_columns(masses[pos])
-        self._other = self.values[self.alias]
+        # column c's own point at 2c, its alias at 2c + 1
+        self._pair = np.stack((self.values, self.values[self.alias]), axis=1).ravel()
 
     def draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         x = rng.random(rows)
@@ -410,7 +411,11 @@ class _AliasTable:
         col = x.astype(np.intp)
         np.minimum(col, n - 1, out=col)  # u * n can round up to n unless n is a power of 2
         x -= col  # the coin: the fraction of u * n past its column
-        return np.where(x < self.prob[col], self.values[col], self._other[col])
+        # one gather, no branch on the random coin: 2 col + (coin >= prob)
+        pick = x >= self.prob[col]
+        col *= 2
+        col += pick
+        return self._pair[col]
 
 
 class _Multinomial:
@@ -550,7 +555,10 @@ def _mc_estimate(model: SumModel, threshold: float, strict: bool,
     for sums in _sample_sums(samplers, n_samples, seed):
         hit = (sums > threshold) if strict else (sums >= threshold)
         if tilted:
-            weights.add(np.where(hit, np.exp(sp.cumulant_value - lam * sums), 0.0))
+            # exp only at the hits; the other rows weigh 0
+            w = np.zeros(len(sums))
+            w[hit] = np.exp(sp.cumulant_value - lam * sums[hit])
+            weights.add(w)
         else:
             hits += int(np.count_nonzero(hit))
     if tilted:

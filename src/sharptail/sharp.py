@@ -228,7 +228,7 @@ def normal_tail_upper(model: SumModel, x: float, B: float | None = None) -> floa
     if not inside:
         raise RangeError(f"x = {x} is past the {NORMAL_SHAPE.name} range end {limit:.6g}")
     xc = bernstein_arg(x, model.sigma)
-    return (1.0 - normal_cdf(xc)) * (1.0 + 16.0 * SQRT_2PI * (1.0 + xc) * B / model.sigma)
+    return normal_cdf(-xc) * (1.0 + 16.0 * SQRT_2PI * (1.0 + xc) * B / model.sigma)
 
 
 def subgaussian_multiplier(x: float, sigma: float, B: float,
@@ -253,7 +253,7 @@ def subgaussian_upper(model: SumModel, x: float, C3: float = C3_UNIVERSAL,
     if not inside:
         raise RangeError(f"x = {x} is past the {SUBGAUSSIAN.name} range end {limit:.6g}")
     cx = subgaussian_multiplier(x, model.sigma, B, C3)
-    return (1.0 - normal_cdf(x)) * (1.0 + cx * (1.0 + x) * B / model.sigma)
+    return normal_cdf(-x) * (1.0 + cx * (1.0 + x) * B / model.sigma)
 
 
 def two_sided_multiplier(x: float, sigma: float) -> float:

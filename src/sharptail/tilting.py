@@ -17,8 +17,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
+from ._normal import ndtr
 from ._tiltmath import packed_cumulants, packed_tilt, tilted_stats
 from .errors import NumericalError, ParameterError
 from .models import (
@@ -299,7 +299,7 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
 
     cdf = np.cumsum(lat.masses * w)
     y = (lat.values - mean) / sbar
-    phi = special.ndtr(y)
+    phi = ndtr(y)
     below = np.abs(cdf - phi)
     prev = np.concatenate(([0.0], cdf[:-1]))
     above = np.abs(phi - prev)

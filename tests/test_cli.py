@@ -417,6 +417,22 @@ def test_overflowing_x_sigma_reads_zero(capsys, tmp_path):
     assert [r[1:] for r in rows[1:]] == [["0", "0", "0"]] * 2
 
 
+def test_normal_tail_bounds_stay_above_the_exact_tail(capsys, tmp_path):
+    # past x ~ 8.3, 1 - Phi(x) cancels to 0; these bounds take Phi(-x)
+    path = tmp_path / "rad40k.json"
+    path.write_text(json.dumps(model_to_dict(rademacher_model(40000))))
+    code, out, _ = run(capsys, ["bounds", "--model", str(path), "--x-grid", "8:10:5",
+                                "--bounds", "exact,normal_shape,subgaussian"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["x", "exact", "normal_shape", "subgaussian"]
+    assert len(rows) == 5
+    for row in rows:
+        exact, *bounds = map(float, row[1:])
+        assert exact > 0
+        assert all(b >= exact for b in bounds), row
+
+
 @pytest.mark.parametrize("b", ["1e103", "1e300"])
 def test_verify_huge_b(capsys, tmp_path, b):
     # B ** (2 + delta) overflows a float past B ~ 1e102, and B * B * lam * lam
@@ -626,10 +642,12 @@ class TestMcCommand:
             assert run(capsys, argv) == (0, ref, "")
 
 
-def test_import_leaves_out_scipy_optimize():
-    # importing scipy.optimize costs a large share of CLI start-up
+def test_import_leaves_out_scipy():
+    # the package does not depend on scipy, whose import would be most of
+    # CLI start-up
     src = os.path.dirname(os.path.dirname(sharptail.__file__))
-    code = "import sharptail.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    code = ("import sharptail.cli, sys; "
+            "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

@@ -43,9 +43,11 @@ from sharptail.oracle import (
     _lattice_layout,
     _Multinomial,
     _sample_sums,
+    _WeightStats,
     build_tilted_lattice,
     convolve_repeat,
 )
+from sharptail.rate import solve_target
 
 from conftest import FIVE_ATOM, random_bounded_dist
 
@@ -664,6 +666,21 @@ class TestTiltedMonteCarlo:
         tilted = tilted_mc_tail(m, thr, True, 10**5, 8)
         assert abs(plain.p - exact) <= 4 * plain.stderr
         assert abs(tilted.p - exact) <= 4 * tilted.stderr
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_tilted_weights_only_the_hits(self, strict):
+        # exp at the hit rows only gives the bits of weighting every row
+        # and zeroing the misses
+        m = SumModel(MIX600)
+        thr, n, seed = 3.0 * m.sigma, 3 * _MC_CHUNK + 777, 12
+        est = tilted_mc_tail(m, thr, strict, n, seed)
+        sp = solve_target(m, thr)
+        samplers = [_component_sampler(d, k, n, sp.lam) for d, k in m.components]
+        stats = _WeightStats()
+        for sums in _sample_sums(samplers, n, seed):
+            hit = sums > thr if strict else sums >= thr
+            stats.add(np.where(hit, np.exp(sp.cumulant_value - sp.lam * sums), 0.0))
+        assert (est.p, est.stderr) == stats.finish()
 
 
 def chain_hull(t):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy import special
 
 from sharptail import (
     DiscreteDistribution,
@@ -27,6 +26,7 @@ from sharptail import (
 )
 import sharptail
 from sharptail import oracle, tilting
+from sharptail._normal import ndtr
 from sharptail._tiltmath import packed_cumulants, tilted_stats
 from sharptail.errors import NumericalError, ParameterError
 
@@ -199,10 +199,16 @@ class TestBerryEsseenTilted:
         assert rep.holds
 
 
-def _sup_distance(values, cdf, mean, sbar):
+def _mp_ndtr(y):
+    """Phi of every float in y from 40-digit mpmath, rounded to doubles."""
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.ncdf(v)) for v in y.tolist()])
+
+
+def _sup_distance(values, cdf, mean, sbar, phi_of=ndtr):
     """The Kolmogorov distance of a lattice CDF from the normal, as
     `berry_esseen_tilted` takes it: both sides of every jump."""
-    phi = special.ndtr((values - mean) / sbar)
+    phi = phi_of((values - mean) / sbar)
     prev = np.concatenate(([0.0], cdf[:-1]))
     return float(max(np.abs(cdf - phi).max(), np.abs(phi - prev).max()))
 
@@ -309,3 +315,16 @@ class TestReweightedTiltedCdf:
         _, mean, var = packed_cumulants(*m.packed_atoms, [0.0])[:, 0].tolist()
         assert rep.sup_distance == _sup_distance(lat.values, np.cumsum(lat.masses), mean,
                                                  math.sqrt(var))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(capture.built_models()))
+    def test_normal_side_within_an_ulp_of_40_digits(self, name, lam):
+        # the package's Phi is within 2.3e-16 of the correctly rounded one,
+        # so the distance moves by at most that plus the subtraction's rounding
+        m = _MODELS[name]
+        rep = berry_esseen_tilted(m, lam)
+        _, mean, _ = packed_cumulants(*m.packed_atoms, [lam])[:, 0].tolist()
+        lat = build_lattice(m)
+        cdf = np.cumsum(lat.masses) if lam == 0.0 else _reweighted_cdf(m, lam)
+        ref = _sup_distance(lat.values, cdf, mean, rep.sigma_bar, phi_of=_mp_ndtr)
+        assert abs(rep.sup_distance - ref) <= 2.0**-51
