@@ -386,10 +386,9 @@ def cmd_mc(args) -> int:
     if est.method == "tilted_mc":
         payload["relative_stderr"] = est.stderr / est.p if est.p > 0 else None
     if est.p == 0.0:
-        payload["note"] = (
-            "no hits: a one-sided 95% upper confidence bound is "
-            f"{3.0 / args.samples:.3e}"
-        )
+        # the exact bound for zero successes in n trials, 1 - 0.05^(1/n) <= 3/n
+        bound = -math.expm1(math.log(0.05) / args.samples)
+        payload["note"] = f"no hits: a one-sided 95% upper confidence bound is {bound:.3e}"
     json.dump(payload, sys.stdout, indent=2, default=float)
     sys.stdout.write("\n")
     return EXIT_OK

@@ -14,17 +14,21 @@ a table of exact per-block suffix sums, built once per lattice in integer
 limbs, reduces each query to one `math.fsum` over the rest of a block and
 one table row, with the same bits as `math.fsum` over the whole suffix.
 
-Monte-Carlo sampling uses counter-based Philox streams with the split rule
-key = (seed, component_index), so runs are reproducible and components could
-be sampled in parallel without collisions.  Each component's sum is drawn
-from a Walker alias table over its own exact lattice law, one uniform per
-draw, read as a column and a coin; a component whose law is not exact
-(quantized atoms, a lattice the builder refuses) or whose table is
-predicted, from measured per-operation costs, to take longer to build than
-the multinomial rows it replaces is drawn as multinomial atom counts
-instead.  Either way a row consumes its stream independently of the
+Monte-Carlo sampling gives component ci its own SFC64 stream, seeded by
+numpy's spawn rule SeedSequence(seed, spawn_key=(ci,)), so runs are
+reproducible and the components' streams are independent.  Each
+component's sum is drawn from a Walker alias table over its own exact
+lattice law, one uniform per draw, read as a column and a coin; a component
+whose law is not exact (quantized atoms, a lattice the builder refuses) or
+whose table is predicted, from measured per-operation costs, to take longer
+to build than the multinomial rows it replaces is drawn as multinomial atom
+counts instead.  Either way a row consumes its stream independently of the
 chunking, and the estimators score the sums chunk by chunk, so memory stays
-O(_MC_CHUNK) and seeded results do not depend on the chunk size.
+O(_MC_CHUNK) and seeded results do not depend on the chunk size.  The
+tilted estimator scores each row with its weight relative to the one at the
+threshold, which lies in [0, 1] at every hit, and scales the mean and the
+standard error by e^(cum(lam) - lam t) once at the end, so neither a miss
+nor a square underflows or overflows however deep the tail.
 """
 
 from __future__ import annotations
@@ -66,15 +70,18 @@ _MC_CHUNK = 1 << 14
 #: rows per block of the importance weights' statistics
 _MC_BLOCK = 1 << 12
 #: sampler costs in ns, fitted to the break-even sizes of both samplers on
-#: ten component shapes (2-5 atoms, multiplicity 10 to 10^6) with numpy 2.4
-#: on a 2-core Xeon: a table build's fixed cost, each of its lattice points,
-#: and each cell update of a shift-add lattice fold; and each conditional
-#: binomial of a multinomial row.  Over sizes 2^8 to 2^22 on those shapes,
-#: the rule never picked a sampler more than 2x slower than the other.
+#: the ten component shapes of tools/sampler_costs.py (2-5 atoms,
+#: multiplicity 10 to 10^6) with numpy 2.4 on a 2-core Xeon: a table
+#: build's fixed cost, each of its lattice points, and each cell update of a
+#: shift-add lattice fold; and each conditional binomial of a multinomial
+#: row.  SFC64 streams made the binomials cheaper, and at 60 ns the rule
+#: picked a table 1.9-2.5x slower than the rows for three-atom x 1000 at
+#: 2^15 samples; at 45 ns, five runs of the script gave a worst ratio of the
+#: picked sampler's time to the other's of 1.18-1.39 over sizes 2^8 to 2^22.
 _TABLE_NS = 150_000
 _POINT_NS = 60
 _CELL_NS = 1
-_BINOMIAL_NS = 60
+_BINOMIAL_NS = 45
 
 
 @dataclass(frozen=True)
@@ -344,8 +351,12 @@ def exact_tail(model: SumModel, threshold: float, strict: bool = True) -> TailEs
 # ---------------------------------------------------------------------------
 
 def _component_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Component `index`'s stream: SFC64 seeded by the child that
+    SeedSequence(seed).spawn gives component `index`, numpy's documented
+    way to independent streams.  Its random() doubles are multiples of
+    2^-53, as the alias draw's accuracy argument needs."""
+    seq = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _alias_columns(masses: np.ndarray):
@@ -386,15 +397,19 @@ class _AliasTable:
 
     The table holds the lattice points of positive mass.  Row i reads
     uniform i of the stream only, so the sums do not depend on how the rows
-    are chunked: with x = u * n, its column is col = min(floor(x), n - 1) and
-    its coin is x - col, which keeps the column's own point when below
-    prob[col] and takes its alias otherwise (Walker 1977).
+    are chunked: with x = u * n, its column is col = floor(x) and its coin
+    is x - col, which keeps the column's own point when below prob[col] and
+    takes its alias otherwise (Walker 1977).  u * n never rounds up to n:
+    u <= 1 - 2^-53, so n - u * n >= n * 2^-53, at least half the spacing of
+    the doubles below n and more than half unless n is a power of 2, where
+    that spacing halves.  x - col is exact (Sterbenz), so the coin test is
+    x >= edge[col], edge[c] being the least double >= c + prob[c], and the
+    draw never forms the coin.
 
     Accuracy: u is a multiple of 2^-53, so given col the coin lies on a grid
     of spacing at most n * 2^-53, and each point's drawn mass is off by at
     most about 2^-52, the same order as the rounding of u * n that picks the
-    column.  When u * n rounds up to n, the row gets col n - 1 and coin 1.0,
-    which takes that column's alias.
+    column.
     """
 
     def __init__(self, values: np.ndarray, masses: np.ndarray):
@@ -403,16 +418,19 @@ class _AliasTable:
         self.prob, self.alias = _alias_columns(masses[pos])
         # column c's own point at 2c, its alias at 2c + 1
         self._pair = np.stack((self.values, self.values[self.alias]), axis=1).ravel()
+        col = np.arange(len(self.prob), dtype=float)
+        edge = col + self.prob
+        # edge - col is exact, as edge lies in [col, col + 1]
+        low = edge - col < self.prob
+        edge[low] = np.nextafter(edge[low], np.inf)
+        self._edge = edge
 
     def draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         x = rng.random(rows)
-        n = len(self.prob)
-        x *= n
+        x *= len(self._edge)
         col = x.astype(np.intp)
-        np.minimum(col, n - 1, out=col)  # u * n can round up to n unless n is a power of 2
-        x -= col  # the coin: the fraction of u * n past its column
         # one gather, no branch on the random coin: 2 col + (coin >= prob)
-        pick = x >= self.prob[col]
+        pick = x >= self._edge[col]
         col *= 2
         col += pick
         return self._pair[col]
@@ -484,14 +502,16 @@ def _component_sampler(dist, mult: int, n_samples: int, lam: float | None = None
 def _sample_sums(samplers, n_samples: int, seed: int):
     """Yield n_samples sums of the components' draws, _MC_CHUNK rows at a time.
 
-    Sampler ci draws from the Philox stream keyed (seed, ci) and consumes it
-    row by row, so the sums do not depend on the chunk size.
+    Sampler ci draws from stream _component_rng(seed, ci) and consumes it
+    row by row, so the sums do not depend on the chunk size.  Each draw is a
+    fresh array, so the first one is the chunk's sums and the others add
+    onto it.
     """
     rngs = [_component_rng(seed, ci) for ci in range(len(samplers))]
     for lo in range(0, n_samples, _MC_CHUNK):
         rows = min(_MC_CHUNK, n_samples - lo)
-        sums = np.zeros(rows)
-        for sampler, rng in zip(samplers, rngs):
+        sums = samplers[0].draw(rngs[0], rows)
+        for sampler, rng in zip(samplers[1:], rngs[1:]):
             sums += sampler.draw(rng, rows)
         yield sums
 
@@ -512,11 +532,11 @@ class _WeightStats:
         self._carry = np.empty(0)
 
     def add(self, chunk: np.ndarray) -> None:
-        buf = np.concatenate((self._carry, chunk))
+        buf = np.concatenate((self._carry, chunk)) if len(self._carry) else chunk
         cut = len(buf) - len(buf) % _MC_BLOCK
         for block in buf[:cut].reshape(-1, _MC_BLOCK):
             self._merge(block)
-        self._carry = buf[cut:]
+        self._carry = buf[cut:].copy()  # not a view of the caller's chunk
 
     def _merge(self, block: np.ndarray) -> None:
         k = len(block)
@@ -539,6 +559,23 @@ class _WeightStats:
         return self.total / n, stderr
 
 
+def _relative_weights(sums: np.ndarray, hit: np.ndarray, threshold: float,
+                      lam: float) -> np.ndarray:
+    """exp(min(-lam (s - t), 0)) at the hits and 0 elsewhere: each row's
+    importance weight exp(cum(lam) - lam s) over exp(cum(lam) - lam t).
+
+    A hit has s >= t, so its weight lies in [0, 1], and a miss is capped at
+    exp(0) before it is zeroed, so no row overflows; with no boolean
+    indexing, every row takes the same few passes.
+    """
+    w = sums - threshold
+    w *= -lam
+    np.minimum(w, 0.0, out=w)
+    np.exp(w, out=w)
+    w *= hit
+    return w
+
+
 def _mc_estimate(model: SumModel, threshold: float, strict: bool,
                  n_samples: int, seed: int, tilted: bool) -> TailEstimate:
     """Plain or saddlepoint-tilted Monte-Carlo tail, streamed chunk by chunk,
@@ -555,16 +592,15 @@ def _mc_estimate(model: SumModel, threshold: float, strict: bool,
     for sums in _sample_sums(samplers, n_samples, seed):
         hit = (sums > threshold) if strict else (sums >= threshold)
         if tilted:
-            # exp only at the hits; the other rows weigh 0
-            w = np.zeros(len(sums))
-            w[hit] = np.exp(sp.cumulant_value - lam * sums[hit])
-            weights.add(w)
+            weights.add(_relative_weights(sums, hit, threshold, lam))
         else:
             hits += int(np.count_nonzero(hit))
     if tilted:
-        p, stderr = weights.finish()
-        return TailEstimate(p=p, stderr=stderr, method="tilted_mc", n_samples=n_samples,
-                            seed=seed, lam=lam)
+        mean, stderr = weights.finish()
+        # e^(cum(lam) - lam t) = e^(-I), the Chernoff bound at the threshold
+        scale = math.exp(sp.log_bound)
+        return TailEstimate(p=scale * mean, stderr=scale * stderr, method="tilted_mc",
+                            n_samples=n_samples, seed=seed, lam=lam)
     p = hits / n_samples
     stderr = math.sqrt(p * (1.0 - p) / n_samples)
     return TailEstimate(p=p, stderr=stderr, method="mc", n_samples=n_samples, seed=seed)

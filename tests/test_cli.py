@@ -608,6 +608,20 @@ class TestMcCommand:
         assert payload["estimate"]["p"] == 0.0
         assert "upper confidence" in payload["note"]
 
+    @pytest.mark.parametrize("samples,bound", [(1, "9.500e-01"), (2, "7.764e-01"),
+                                               (10**5, "2.996e-05")])
+    def test_zero_hits_bound_is_exact(self, capsys, tmp_path, samples, bound):
+        # 1 - 0.05^(1/n), the exact 95% bound for zero successes in n trials:
+        # at most 1, and below the rule of three's 3/n
+        path = tmp_path / "rad400.json"
+        path.write_text(json.dumps(model_to_dict(rademacher_model(400))))
+        code, out, _ = run(capsys, [
+            "mc", "--model", str(path), "--x", "6.0", "--samples", str(samples), "--seed", "1",
+        ])
+        payload = json.loads(out)
+        assert code == 0 and payload["estimate"]["p"] == 0.0
+        assert payload["note"] == f"no hits: a one-sided 95% upper confidence bound is {bound}"
+
     @pytest.mark.parametrize("method", ["mc", "tilted"])
     def test_nan_threshold_exit_2(self, capsys, rad_file, method):
         code, out, err = run(capsys, [

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -42,6 +43,7 @@ from sharptail.oracle import (
     _fold_strided,
     _lattice_layout,
     _Multinomial,
+    _relative_weights,
     _sample_sums,
     _WeightStats,
     build_tilted_lattice,
@@ -413,7 +415,7 @@ class TestMonteCarlo:
 
     def test_chunked_draws_match_one_draw(self):
         # a multinomial fallback draws its rows chunk by chunk, consuming each
-        # Philox stream exactly as one n-row multinomial call does
+        # component's stream exactly as one n-row multinomial call does
         n = 2 * _MC_CHUNK + 12345
         comps = [(hoeffding_extremal(0.5 + 2.0**-40), 20), (FIVE_ATOM, 400)]
         samplers = [_component_sampler(d, m, n) for d, m in comps]
@@ -437,7 +439,15 @@ class TestMonteCarlo:
             assert np.array_equal(got, ref[:rows])
 
     def test_stream_split_rule(self):
-        # the documented rule: component ci draws from Philox key (seed, ci)
+        # the documented rule: component ci draws from SFC64 seeded by child
+        # ci of SeedSequence(seed).spawn, the seed taken mod 2^64
+        for seed in (7, 2**64 + 7, -1):
+            children = np.random.SeedSequence(seed % 2**64).spawn(3)
+            for ci, child in enumerate(children):
+                rng = _component_rng(seed, ci)
+                assert isinstance(rng.bit_generator, np.random.SFC64)
+                want = np.random.Generator(np.random.SFC64(child)).random(8)
+                assert rng.random(8).tolist() == want.tolist()
         r0 = _component_rng(7, 0).integers(0, 2**31)
         r1 = _component_rng(7, 1).integers(0, 2**31)
         again = _component_rng(7, 0).integers(0, 2**31)
@@ -506,6 +516,22 @@ class TestAliasSampler:
         want = np.where(coin < table.prob[col], table.values[col], table.values[table.alias[col]])
         got = table.draw(_component_rng(11, 0), 5000)
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("dist,mult", [(FIVE_ATOM, 100), (rademacher(), 200)])
+    def test_coin_edges_are_least_doubles(self, dist, mult):
+        # x >= edge[c] is the coin test x - c >= prob[c] exactly when edge[c]
+        # is the least double >= c + prob[c]; x - c is exact on [c, c + 1]
+        table = _component_sampler(dist, mult, 10**6)
+        col = np.arange(len(table.prob), dtype=float)
+        edge = table._edge
+        assert np.all(edge - col >= table.prob)
+        assert np.all(np.nextafter(edge, -np.inf) - col < table.prob)
+
+    def test_top_uniform_stays_in_last_column(self):
+        # random() tops out at 1 - 2^-53, and u * n never rounds up to n
+        powers = 2.0 ** np.arange(20, 31)
+        n = np.concatenate((np.arange(1, 2**20 + 1), powers - 1, powers, powers + 1))
+        assert np.all((1.0 - 2.0**-53) * n < n)
 
     def test_lopsided_table_chi_square(self):
         # mix600's five-atom block: 3,415 points whose masses span about 90
@@ -669,18 +695,78 @@ class TestTiltedMonteCarlo:
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_tilted_weights_only_the_hits(self, strict):
-        # exp at the hit rows only gives the bits of weighting every row
-        # and zeroing the misses
+        # the estimate is e^(cum - lam t) times the statistics of
+        # exp(-lam (s - t)) at the hits and 0 elsewhere, and within rounding
+        # of the statistics of the full weights exp(cum - lam s)
         m = SumModel(MIX600)
         thr, n, seed = 3.0 * m.sigma, 3 * _MC_CHUNK + 777, 12
         est = tilted_mc_tail(m, thr, strict, n, seed)
         sp = solve_target(m, thr)
         samplers = [_component_sampler(d, k, n, sp.lam) for d, k in m.components]
-        stats = _WeightStats()
+        relative, full = _WeightStats(), _WeightStats()
         for sums in _sample_sums(samplers, n, seed):
             hit = sums > thr if strict else sums >= thr
-            stats.add(np.where(hit, np.exp(sp.cumulant_value - sp.lam * sums), 0.0))
-        assert (est.p, est.stderr) == stats.finish()
+            relative.add(np.where(hit, np.exp(-sp.lam * (sums - thr)), 0.0))
+            full.add(np.where(hit, np.exp(sp.cumulant_value - sp.lam * sums), 0.0))
+        scale = math.exp(sp.cumulant_value - sp.lam * thr)
+        mean, se = relative.finish()
+        assert (est.p, est.stderr) == (scale * mean, scale * se)
+        p, se = full.finish()
+        assert est.p == pytest.approx(p, rel=1e-12)
+        assert est.stderr == pytest.approx(se, rel=1e-12)
+
+    @pytest.mark.parametrize("model,x", [(SumModel(MIX600), 3.0), (rademacher_model(2000), 30.0)])
+    def test_scaled_weights_match_mpmath(self, model, x):
+        # e^(cum - lam t) * exp(min(-lam (s - t), 0)) against 40-digit
+        # e^(cum - lam s) on the same float s, cum and lam, at every hit
+        thr = x * model.sigma
+        sp = solve_target(model, thr)
+        samplers = [_component_sampler(d, k, _MC_CHUNK, sp.lam) for d, k in model.components]
+        sums = next(_sample_sums(samplers, _MC_CHUNK, 17))
+        hit = sums > thr
+        got = math.exp(sp.log_bound) * _relative_weights(sums, hit, thr, sp.lam)
+        assert np.count_nonzero(hit) > 1000
+        assert np.all(got[~hit] == 0.0)
+        with mpmath.workdps(40):
+            c, lam = mpmath.mpf(sp.cumulant_value), mpmath.mpf(sp.lam)
+            for s, w in zip(sums[hit].tolist(), got[hit].tolist()):
+                want = mpmath.exp(c - lam * mpmath.mpf(s))
+                assert abs(w / want - 1) <= 1e-12, (s, w, want)
+
+    @pytest.mark.parametrize("x", [5, 15, 25, 30])
+    def test_deep_tail_stderr(self, x):
+        # below p ~ 1e-154 the squares of weights of order p underflow; the
+        # relative weights do not, so the relative standard error is the
+        # one of the same draws recomputed from their log weights
+        m, n, seed = rademacher_model(2000), 10**5, 3
+        thr = x * m.sigma
+        est = tilted_mc_tail(m, thr, True, n, seed)
+        assert est.stderr > 0.0
+        sp = solve_target(m, thr)
+        samplers = [_component_sampler(d, k, n, sp.lam) for d, k in m.components]
+        sums = np.concatenate(list(_sample_sums(samplers, n, seed)))
+        hit = sums > thr
+        log_w = sp.cumulant_value - sp.lam * sums[hit]
+        w = np.zeros(n)
+        w[hit] = np.exp(log_w - log_w.max())
+        want = w.std(ddof=1) / math.sqrt(n) / w.mean()
+        assert est.stderr / est.p == pytest.approx(want, rel=1e-9)
+
+    def test_no_overflow_where_misses_fall_far_below(self):
+        # lam ~ 230 on a two-point law with P(1) = 1e-100: a row with no 1
+        # sits 3.5 below the threshold, lam (t - s) ~ 805, and exp of that
+        # would overflow if the misses were not capped at 0
+        d = DiscreteDistribution(((-1e-100, 1.0), (1.0, 1e-100)))
+        m, thr, n, seed = SumModel(((d, 8),)), 3.5, 2000, 1
+        sp = solve_target(m, thr)
+        sums = np.concatenate(list(_sample_sums([_component_sampler(d, 8, n, sp.lam)], n, seed)))
+        miss = sums <= thr
+        assert np.count_nonzero(sp.lam * (thr - sums[miss]) > 709) > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = tilted_mc_tail(m, thr, True, n, seed)
+        # the true tail, 70 * 1e-400, is below the smallest double
+        assert est.p == 0.0 and est.stderr == 0.0
 
 
 def chain_hull(t):
