@@ -1,12 +1,15 @@
 """Ground truth: exact lattice tails, Monte-Carlo estimators, and the
 log-concave tail hull.
 
-The exact oracle puts every atom on a common rational grid (denominators
+The exact oracle puts every atom on a common rational grid 1/D (denominators
 capped at 1e6; values that do not fit are rounded and the rounding is
-reported, never hidden) and convolves the component mass vectors.  A
-two-atom block of multiplicity m is a binomial on the stride of its span, so
-its m + 1 masses come from the binomial ratio recurrence in O(m); blocks
-with more atoms are folded in one copy at a time by shifted-slice adds.  Threshold
+reported, never hidden).  Each block's offsets start at 0 and are divided by
+the gcd g of all the blocks' offsets, so the sum lives on the points
+(base + g k) / D, and only `LatticeDistribution` maps an index to a point.
+The component mass vectors are convolved on that lattice: a two-atom block
+of multiplicity m is a binomial on the stride of its span, its m + 1 masses
+from the ratio recurrence in O(m); blocks with more atoms are folded in one
+copy at a time by shifted-slice adds.  Threshold
 comparisons against lattice points are exact rational comparisons, so strict
 and non-strict tails are separated correctly on the lattice and coincide off
 it.  A tail is the correctly rounded sum of the masses above the threshold:
@@ -103,13 +106,14 @@ class TailEstimate:
 
 
 class LatticeDistribution:
-    """Mass vector of the sum on a rational grid: point k has value (base+k)*step,
-    with step = 1/denominator."""
+    """Mass vector of the sum on a rational lattice: point k has the value
+    (base + stride * k) / denominator, three integers."""
 
-    def __init__(self, step: Fraction, base: int, masses: np.ndarray,
+    def __init__(self, denominator: int, base: int, stride: int, masses: np.ndarray,
                  quantization_error: float):
-        self.step = step
+        self.denominator = denominator
         self.base = base
+        self.stride = stride
         self.masses = masses
         self.quantization_error = quantization_error
 
@@ -122,23 +126,22 @@ class LatticeDistribution:
         return len(self.masses)
 
     def value(self, k: int) -> float:
-        return float((self.base + k) * self.step)
+        return float(Fraction(self.base + self.stride * k, self.denominator))
 
     @cached_property
     def values(self) -> np.ndarray:
-        """value(k) for every point: the step is 1/denominator, so one
+        """value(k) for every point: the numerators are exact integers, so one
         division rounds each exact value once."""
-        num = np.arange(self.base, self.base + len(self.masses), dtype=float)
-        return num / float(self.step.denominator)
+        num = self.base + self.stride * np.arange(len(self.masses), dtype=float)
+        return num / self.denominator
+
+    def position(self, threshold: float) -> Fraction:
+        """The exact k, not always an integer, at which value(k) = threshold."""
+        return (Fraction(threshold) * self.denominator - self.base) / self.stride
 
     def _first_index_above(self, threshold: float, strict: bool) -> int:
-        # exact rational comparison of (base + k) * step against the threshold
-        t = Fraction(threshold) / self.step - self.base
-        if strict:
-            k = math.floor(t) + 1
-        else:
-            k = math.ceil(t)
-        return max(k, 0)
+        t = self.position(threshold)
+        return max(math.floor(t) + 1 if strict else math.ceil(t), 0)
 
     def tail(self, threshold: float, strict: bool = True) -> float:
         """P(S > threshold) (strict) or P(S >= threshold), exactly rounded."""
@@ -210,7 +213,15 @@ def _rationalize(value: float) -> Fraction:
 
 
 def _lattice_layout(raw_components):
-    """Common pitch and integer offsets for [(values, probs, mult), ...]."""
+    """The sum's lattice (denominator, base, stride) and its blocks'
+    (offsets, probs, mult) for [(values, probs, mult), ...], with the snap.
+
+    Atoms are snapped to a common denominator D.  Each block's offsets are
+    shifted to start at 0 and divided by the gcd g of all the blocks'
+    offsets, so the sum lives on (base + g k) / D, base / D being the sum of
+    m_i lo_i.  Blocks come in fold order, which fixes the roundings: small
+    spans first, then by atoms and probabilities.
+    """
     denom = 1
     fracs = []
     quant = 0.0
@@ -222,12 +233,15 @@ def _lattice_layout(raw_components):
             row.append(f)
             denom = denom * f.denominator // math.gcd(denom, f.denominator)
         fracs.append(row)
-    step = Fraction(1, denom)
-    layouts = []
-    for (values, probs, mult), row in zip(raw_components, fracs):
-        offsets = np.array([int(f * denom) for f in row], dtype=np.int64)
-        layouts.append((offsets, np.asarray(probs, dtype=float), int(mult)))
-    return step, layouts, quant
+    nums = [[int(f * denom) for f in row] for row in fracs]
+    base = sum(row[0] * int(mult) for row, (_, _, mult) in zip(nums, raw_components))
+    stride = math.gcd(*(v - row[0] for row in nums for v in row)) or 1
+    blocks = sorted(zip(nums, raw_components),
+                    key=lambda b: (b[0][-1] - b[0][0], b[0], [float(p) for p in b[1][1]]))
+    # Python ints: a refused lattice's offsets may not fit int64
+    layouts = [([(v - row[0]) // stride for v in row], np.asarray(probs, dtype=float), int(mult))
+               for row, (_, probs, mult) in blocks]
+    return (denom, base, stride), layouts, quant
 
 
 def convolve_repeat(masses, offsets, probs, times):
@@ -238,11 +252,11 @@ def convolve_repeat(masses, offsets, probs, times):
     add per atom, a plain float64 accumulation of non-negative terms.
     """
     masses = np.asarray(masses, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    probs = np.asarray(probs, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64).tolist()
+    probs = np.asarray(probs, dtype=np.float64).tolist()
     if times <= 0:
         return masses.copy()
-    span = int(offsets[-1])
+    span = offsets[-1]
     length = masses.shape[0]
     final = length + span * times
     cur = np.zeros(final, dtype=np.float64)
@@ -251,8 +265,9 @@ def convolve_repeat(masses, offsets, probs, times):
     for _ in range(times):
         out_len = length + span
         nxt[:out_len] = 0.0
+        src = cur[:length]
         for off, p in zip(offsets, probs):
-            nxt[off:off + length] += p * cur[:length]
+            nxt[off:off + length] += p * src
         cur, nxt = nxt, cur
         length = out_len
     return cur[:length].copy()
@@ -295,28 +310,22 @@ def _fold_strided(masses: np.ndarray, weights: np.ndarray, stride: int) -> np.nd
     return out
 
 
-def _convolve_components(step, layouts, quant):
-    total = sum((int(offs[-1] - offs[0])) * m for offs, _, m in layouts)
+def _convolve_components(grid, layouts, quant):
+    """The sum's lattice on grid = (denominator, base, stride), its blocks
+    folded in the order of `layouts`."""
+    total = sum(offsets[-1] * mult for offsets, _, mult in layouts)
     if total + 1 > MAX_LATTICE_POINTS:
         raise UnsupportedModelError(
             f"lattice would need {total + 1} points (cap {MAX_LATTICE_POINTS})"
         )
-    # deterministic processing order: small spans first
-    order = sorted(
-        layouts, key=lambda t: (int(t[0][-1] - t[0][0]), t[0].tolist(), t[1].tolist())
-    )
     masses = np.ones(1, dtype=float)
-    base = 0
-    for offsets, probs, mult in order:
-        lo = int(offsets[0])
-        base += mult * lo
-        offsets = offsets - lo
+    for offsets, probs, mult in layouts:
         if len(offsets) == 2:
             binomial = _binomial_masses(float(probs[0]), float(probs[1]), mult)
-            masses = _fold_strided(masses, binomial, int(offsets[1]))
+            masses = _fold_strided(masses, binomial, offsets[1])
         else:
             masses = convolve_repeat(masses, offsets, probs, mult)
-    return LatticeDistribution(step, base, masses, quant)
+    return LatticeDistribution(*grid, masses, quant)
 
 
 def build_lattice(model: SumModel) -> LatticeDistribution:
@@ -458,9 +467,9 @@ class _Multinomial:
 
 def _table_build_ns(n_atoms: int, span: int, mult: int) -> int:
     """Predicted ns to build the alias table of mult copies of an n_atoms
-    law whose atoms span `span` lattice steps: the binomial's mult + 1
-    points for two atoms, else the lattice's points and the cells its mult
-    shift-add folds update."""
+    law whose atoms span `span` steps of its reduced lattice: the binomial's
+    mult + 1 points for two atoms, else the lattice's points and the cells
+    its mult shift-add folds update."""
     if n_atoms == 2:
         return _TABLE_NS + (mult + 1) * _POINT_NS
     cells = n_atoms * (mult + span * mult * (mult - 1) // 2)
@@ -473,25 +482,17 @@ def _component_sampler(dist, mult: int, n_samples: int, lam: float | None = None
     An alias table over the component's exact lattice law, unless that law
     is not exact (quantized atoms, or a lattice the builder refuses) or its
     predicted build time exceeds that of the n_samples multinomial rows it
-    replaces, n_atoms - 1 binomials each.  Then the multinomial draw.  A
-    two-atom law is the binomial on the stride of its span, so its table
-    takes the binomial's masses directly and never lays out the strided
-    lattice.
+    replaces, n_atoms - 1 binomials each.  Then the multinomial draw.
     """
     values, probs = dist.values, dist.probs
     if lam is not None:
         probs = tilted_stats(values, probs, lam)[3]
-    step, [(offsets, _, _)], quant = _lattice_layout([(values, probs, mult)])
-    lo, span, n_atoms = int(offsets[0]), int(offsets[-1] - offsets[0]), len(offsets)
-    rows_ns = n_samples * (n_atoms - 1) * _BINOMIAL_NS
-    if quant == 0.0 and _table_build_ns(n_atoms, span, mult) <= rows_ns:
-        if n_atoms == 2:
-            masses = _binomial_masses(float(probs[0]), float(probs[1]), mult)
-            # the step is 1/denominator, so one division rounds the exact sum once
-            return _AliasTable((mult * lo + span * np.arange(mult + 1)) / step.denominator,
-                               masses)
+    grid, layouts, quant = _lattice_layout([(values, probs, mult)])
+    [(offsets, _, _)] = layouts
+    rows_ns = n_samples * (len(offsets) - 1) * _BINOMIAL_NS
+    if quant == 0.0 and _table_build_ns(len(offsets), offsets[-1], mult) <= rows_ns:
         try:
-            lat = _convolve_components(step, [(offsets, probs, mult)], quant)
+            lat = _convolve_components(grid, layouts, quant)
         except UnsupportedModelError:
             pass
         else:
@@ -694,12 +695,11 @@ def bentkus_bound(model: SumModel, x: float) -> float:
 
     The reference sum is n i.i.d. copies of the two-point law {1, -v} with
     v = sigma^2 / n, snapped to the rational grid as the exact lattice snaps
-    atoms: a binomial on a stride of that lattice.  Its tail is constant on
-    each stride, with value T_k = P(binomial >= k) up to stride end k, and a
-    stride's other points lie below the chord between two stride ends, so
-    the hull's vertices are among the n + 1 points (k, log T_k); no lattice
-    is laid out.  Between vertices the hull is log-linear in stride units;
-    past the last positive one it is 0.
+    atoms: a binomial, whose reduced lattice has the n + 1 points of
+    positive mass, the hull's vertices among them.  Its suffix sums are the
+    reference tail; x * sigma is placed on that lattice by exact rational
+    arithmetic, the hull is log-linear between vertices, and past the last
+    positive one it is 0.
     """
     if not x >= 0:
         raise ParameterError(f"x must be >= 0, got {x}")
@@ -711,13 +711,9 @@ def bentkus_bound(model: SumModel, x: float) -> float:
     if target > n:  # past the reference sum's top point (or infinite)
         return 0.0
     ref = hoeffding_extremal(model.sigma2 / n)
-    step, [(offsets, probs, _)], _ = _lattice_layout([(ref.values, ref.probs, n)])
-    lo, stride = int(offsets[0]), int(offsets[1] - offsets[0])
-    # x * sigma in stride units above the lowest point n * lo * step, exactly
-    u = (Fraction(target) / step - n * lo) / stride
-    # the suffix sums of the strided lattice: its other points hold 0.0
-    tail = np.cumsum(_binomial_masses(float(probs[0]), float(probs[1]), n)[::-1])[::-1]
-    hx, hy = _hull_vertices(np.minimum(tail, 1.0))
+    lat = _convolve_components(*_lattice_layout([(ref.values, ref.probs, n)]))
+    hx, hy = _hull_vertices(lat.suffix_sums)
+    u = lat.position(target)
     if u > hx[-1]:
         return 0.0
     return min(1.0, 0.5 * math.e**2 * math.exp(float(np.interp(float(u), hx, hy))))

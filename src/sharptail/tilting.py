@@ -271,10 +271,11 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
     subnormal result), and w keeps the relative d parts.  Folds carry an e on
     by weights summing to 1 within PROB_SUM_TOL (under 2-fold over < 10^8
     copies), a binomial block's chain by ratios <= 1 away from the mode.  A
-    build rounds at most 4 N sum_i K_i m_i times (N points; block i has K_i
-    atoms, m_i copies): K_i m_i shift-add slices of <= N cells, a product and
-    a sum per cell, or 4 |k - mode| + 1 for binomial mass k and a product and
-    a sum in each of the block's (m_i + 1) N cell updates.  So with
+    build rounds at most 4 N sum_i K_i m_i times (N laid-out points of the
+    stride-reduced lattice; block i has K_i atoms, m_i copies): K_i m_i
+    shift-add slices of <= N cells, a product and a sum per cell, or
+    4 |k - mode| + 1 for binomial mass k and a product and a sum in each of
+    the block's (m_i + 1) N cell updates.  So with
     U = 8 N sum_i K_i m_i, the underflow part of a reweighted CDF value is at
     most U max_k w_k 2^-1075 <= 2^-53 if log U + lam v_top - cum <= 1022 ln 2.
     Where this guard fails (as nan does; exp runs only once it holds) or the

@@ -142,12 +142,33 @@ class TestBoundsCommand:
 
     def test_exact_over_lattice_cap_exit_2(self, capsys, tmp_path):
         big = tmp_path / "big.json"
-        big.write_text(json.dumps(model_to_dict(extremal_model(1 / 999983, 300))))
+        # two blocks whose reduced lattice still needs 150,997,584 points
+        model = SumModel(((hoeffding_extremal(1 / 999983), 300), (rademacher(), 1)))
+        big.write_text(json.dumps(model_to_dict(model)))
         code, out, err = run(capsys, [
             "bounds", "--model", str(big), "--x-grid", "0:1:2", "--bounds", "exact",
         ])
         assert code == 2
         assert out == "" and err.startswith("error: lattice would need")
+
+    def test_wide_two_atom_model_is_exact(self, capsys, tmp_path):
+        # atoms 1,123,457 steps of 10^-6 apart: 101 support points, not the
+        # 112,345,701 points of the atoms' common grid
+        path = tmp_path / "wide.json"
+        model = extremal_model(0.123457, 100)
+        path.write_text(json.dumps(model_to_dict(model)))
+        code, out, err = run(capsys, [
+            "bounds", "--model", str(path), "--x-grid", "0:4:9", "--bounds", "exact",
+        ])
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert header == ["x", "exact"] and len(rows) == 9
+        lat = build_lattice(model)
+        assert len(lat) == 101
+        for x, p in rows:
+            assert float(p) == lat.tail(float(x) * model.sigma) > 0.0
+        code, out, _ = run(capsys, ["verify", "--model", str(path)])
+        assert code == 0 and json.loads(out)["ok"]
 
     def test_unknown_bound_exit_2(self, capsys, rad_file):
         code, _, err = run(capsys, [

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from sharptail import (
@@ -43,6 +44,7 @@ from sharptail.oracle import (
     _fold_strided,
     _lattice_layout,
     _Multinomial,
+    _rationalize,
     _relative_weights,
     _sample_sums,
     _WeightStats,
@@ -51,7 +53,7 @@ from sharptail.oracle import (
 )
 from sharptail.rate import solve_target
 
-from conftest import FIVE_ATOM, random_bounded_dist
+from conftest import FIVE_ATOM, _centered_dist, random_bounded_dist
 
 
 def enumerate_tail(model, threshold, strict):
@@ -67,6 +69,20 @@ def enumerate_tail(model, threshold, strict):
         if (s > thr) if strict else (s >= thr):
             total += Fraction(p)
     return float(total)
+
+
+def assert_tails_match_fractions(lat, points, pmf, rel):
+    """lat's values are the exact `points` (ascending Fractions) rounded once,
+    and its strict and non-strict tails at every point and at both of its
+    float neighbours are within `rel` of the exact masses `pmf` above."""
+    assert lat.values.tolist() == [float(v) for v in points]
+    for v in points:
+        at = float(v)
+        for t in (np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf)):
+            for strict in (True, False):
+                want = sum((w for u, w in zip(points, pmf)
+                            if (u > Fraction(t) if strict else u >= Fraction(t))), Fraction(0))
+                assert lat.tail(float(t), strict) == pytest.approx(float(want), rel=rel), (t, strict)
 
 
 class TestExactTail:
@@ -129,8 +145,9 @@ class TestExactTail:
         lat = build_lattice(m)
         gap = lat.tail(4.0, strict=False) - lat.tail(4.0, strict=True)
         # the gap is exactly the point mass at 4
-        k = round((4 - lat.base * float(lat.step)) / float(lat.step))
-        assert gap == pytest.approx(lat.masses[k], rel=1e-12)
+        k = lat.position(4.0)
+        assert k.denominator == 1 and lat.value(int(k)) == 4.0
+        assert gap == pytest.approx(lat.masses[int(k)], rel=1e-12)
 
     def test_mass_drift_within_budget(self):
         lat = build_lattice(rademacher_model(10**4))
@@ -142,9 +159,45 @@ class TestExactTail:
         assert est.to_dict()["p"] == est.p
 
     def test_lattice_too_large_rejected(self):
-        big = SumModel(((hoeffding_extremal(Fraction(1, 999983)), 300),))
-        with pytest.raises(UnsupportedModelError):
+        # two blocks whose offsets share only g = 2: 150,997,584 points
+        big = SumModel(((hoeffding_extremal(Fraction(1, 999983)), 300), (rademacher(), 1)))
+        with pytest.raises(UnsupportedModelError, match="150997584 points"):
             build_lattice(big)
+
+    def test_huge_common_denominator_is_refused(self):
+        # five atoms over coprime denominators near 10^6: offsets near 10^24
+        # on their common grid, past int64, refused (not an OverflowError),
+        # and sampled by multinomial counts
+        vals = [-Fraction(1, 999983), -Fraction(1, 999979), Fraction(1, 999961),
+                Fraction(1, 999959), Fraction(1, 999953)]
+        dist = _centered_dist(vals, [10, 10, 1, 1, 1])
+        with pytest.raises(UnsupportedModelError, match="lattice would need"):
+            build_lattice(SumModel(((dist, 2),)))
+        assert isinstance(_component_sampler(dist, 2, 10**6), _Multinomial)
+
+    @pytest.mark.parametrize("model, points", [
+        (rademacher_model(10**4), 10**4 + 1),
+        (extremal_model(0.1, 10**5), 10**5 + 1),
+        (extremal_model(0.123457, 100), 101),
+    ], ids=["rademacher_1e4", "extremal_0.1", "extremal_0.123457"])
+    def test_single_block_lattice_is_its_support(self, model, points):
+        # the offsets are divided by their gcd, so only the sum's support
+        # points are laid out, however fine the atoms' common grid
+        lat = build_lattice(model)
+        assert len(lat) == points
+        (dist, n), = model.components
+        ends = [float(n * _rationalize(v)) for v in (dist.lower, dist.upper)]
+        assert [lat.values[0], lat.values[-1]] == ends
+
+    def test_wide_two_atom_tails_match_fractions(self):
+        # -0.123457 and 1 are 1,123,457 steps of 10^-6 apart; the sum has
+        # 101 support points, and its tails are exact binomial suffixes
+        m = extremal_model(0.123457, 100)
+        (dist, n), = m.components
+        (lo, q), (hi, p) = ((_rationalize(v), Fraction(w)) for v, w in dist.atoms)
+        points = [(n - k) * lo + k * hi for k in range(n + 1)]
+        pmf = [math.comb(n, k) * q ** (n - k) * p ** k for k in range(n + 1)]
+        assert_tails_match_fractions(build_lattice(m), points, pmf, rel=1e-12)
 
     def test_infinite_and_nan_thresholds(self):
         m = extremal_model(0.25, 7)
@@ -163,6 +216,77 @@ class TestExactTail:
         d = DiscreteDistribution(((a, 0.5), (-a, 0.5)))
         lat = build_lattice(SumModel(((d, 3),)))
         assert 0.0 < lat.quantization_error < 1e-11
+
+
+@hst.composite
+def tiny_models(draw):
+    """1-3 blocks of 2-5 atoms on k/q grids, multiplicities 1-30.  A block's
+    atoms are multiples of c/q, so grids with a common factor (such as
+    {-4/5, 0, 4/5}, c = 4) and blocks of mixed strides both occur."""
+    blocks = []
+    for _ in range(draw(hst.integers(1, 3))):
+        q = draw(hst.sampled_from([2, 3, 4, 5]))
+        c = draw(hst.sampled_from([c for c in (1, 2, 3, 4) if c <= q]))
+        top = q // c
+        k = draw(hst.integers(2, min(5, 2 * top + 1)))
+        picks = draw(hst.lists(hst.integers(-top, top), min_size=k, max_size=k, unique=True))
+        weights = draw(hst.lists(hst.integers(1, 19), min_size=k, max_size=k))
+        dist = _centered_dist([Fraction(c * j, q) for j in picks], weights)
+        assume(dist is not None)
+        blocks.append((dist, draw(hst.integers(1, 30))))
+    return SumModel(tuple(blocks))
+
+
+def exact_law(model):
+    """The sum's law in integer arithmetic: (den, scale, {s: w}), point s / den
+    carrying mass w / scale, for the atoms as the lattice snaps them and the
+    float probabilities as given."""
+    snapped = [[_rationalize(v) for v in d.values] for d, _ in model.components]
+    den = math.lcm(*(v.denominator for row in snapped for v in row))
+    law, scale = {0: 1}, 1
+    for (dist, mult), row in zip(model.components, snapped):
+        probs = [Fraction(p) for p in dist.probs.tolist()]
+        pden = max(p.denominator for p in probs)
+        atoms = [(int(v * den), int(p * pden)) for v, p in zip(row, probs)]
+        for _ in range(mult):
+            nxt = {}
+            for s, w in law.items():
+                for v, p in atoms:
+                    nxt[s + v] = nxt.get(s + v, 0) + w * p
+            law = nxt
+            scale *= pden
+    return den, scale, law
+
+
+class TestExactArithmetic:
+    """The lattice against the sum's law in exact rational arithmetic."""
+
+    @given(tiny_models())
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_matches_exact_law(self, model):
+        den, scale, law = exact_law(model)
+        support = sorted(law)
+        lo, hi = support[0], support[-1]
+        # the sum's support spans the smallest lattice that holds it
+        g = math.gcd(*(s - lo for s in support))
+        grid = list(range(lo, hi + 1, g))
+        lat = build_lattice(model)
+        assert lat.values.tolist() == [float(Fraction(s, den)) for s in grid]
+        exact = [law.get(s, 0) for s in grid]
+        for got, w in zip(lat.masses.tolist(), exact):
+            assert got == 0.0 if w == 0 else got == pytest.approx(w / scale, rel=1e-12)
+        suffix = list(itertools.accumulate(reversed(exact)))[::-1] + [0]
+        points = [Fraction(s, den) for s in grid]
+        masses = lat.masses.tolist()
+        for s in support:
+            at = float(Fraction(s, den))
+            for t in (np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf)):
+                for strict in (True, False):
+                    cut = (bisect.bisect_right if strict else bisect.bisect_left)(
+                        points, Fraction(float(t)))
+                    got = lat.tail(float(t), strict)
+                    assert got == min(1.0, math.fsum(masses[cut:])), (t, strict)
+                    assert got == pytest.approx(min(1.0, suffix[cut] / scale), rel=1e-12)
 
 
 class TestLatticeRecord:
@@ -230,7 +354,7 @@ def shift_add_lattice(model):
     _, layouts, _ = _lattice_layout([(d.values, d.probs, m) for d, m in model.components])
     masses = np.ones(1)
     for offsets, probs, mult in layouts:
-        masses = convolve_repeat(masses, offsets - offsets[0], probs, mult)
+        masses = convolve_repeat(masses, offsets, probs, mult)
     return masses
 
 
@@ -257,14 +381,15 @@ class TestKernelBackends:
 
     def test_rademacher_masses_exact(self):
         n = 10**4
-        masses = build_lattice(rademacher_model(n)).masses
+        lat = build_lattice(rademacher_model(n))
         exact, c = [], 1
         for k in range(n + 1):
             exact.append(c / 2**n)  # correctly rounded big-int division
             c = c * (n - k) // (k + 1)
         exact = np.array(exact)
-        assert np.all(masses[1::2] == 0.0)
-        assert np.allclose(masses[0::2], exact, rtol=1e-13, atol=1e-300)
+        # one point per support point of the sum, -n, -n + 2, ..., n
+        assert lat.values.tolist() == list(range(-n, n + 1, 2))
+        assert np.allclose(lat.masses, exact, rtol=1e-13, atol=1e-300)
 
     def test_skewed_binomial_against_50_digits(self):
         m = 4 * 10**4
@@ -298,7 +423,8 @@ class TestKernelBackends:
             lat = build_lattice(m)
             for k in rng.integers(1, len(lat), size=5):
                 # halfway between lattice points k - 1 and k
-                thr = float((lat.base + k - Fraction(1, 2)) * lat.step)
+                thr = (lat.value(k - 1) + lat.value(k)) / 2
+                assert k - 1 < lat.position(thr) < k
                 for strict in (True, False):
                     assert lat.tail(thr, strict) == min(1.0, math.fsum(lat.masses[k:]))
 
@@ -321,12 +447,13 @@ def assert_tails_are_fsum(lat, ks):
     masses = lat.masses
     for k in ks:
         want = min(1.0, math.fsum(masses[k:].tolist()))
-        mid = float((lat.base + k - Fraction(1, 2)) * lat.step)
+        mid = (lat.value(k - 1) + lat.value(k)) / 2
+        assert k - 1 < lat.position(mid) < k
         assert lat.tail(mid, strict=True) == want, k
         assert lat.tail(mid, strict=False) == want, k
         # on the lattice, where the points are doubles: P(S > v_{k-1}), P(S >= v_k)
         for j, strict in ((k - 1, True), (k, False)):
-            if Fraction(lat.value(j)) == (lat.base + j) * lat.step:
+            if lat.position(lat.value(j)) == j:
                 assert lat.tail(lat.value(j), strict) == want, k
 
 
@@ -369,17 +496,17 @@ class TestTailTable:
         rng = np.random.default_rng(n)
         masses = rng.random(n) / n
         masses[::7] = 0.0
-        lat = LatticeDistribution(Fraction(1, 4), -5, masses, 0.0)
+        lat = LatticeDistribution(4, -5, 3, masses, 0.0)  # points (3k - 5) / 4
         assert_tails_are_fsum(lat, range(n))
 
     @given(mass_vectors())
     @settings(max_examples=40, deadline=None)
     def test_random_exponents_and_subnormals(self, masses):
-        lat = LatticeDistribution(Fraction(1), 0, masses, 0.0)
+        lat = LatticeDistribution(1, 0, 1, masses, 0.0)
         assert_tails_are_fsum(lat, range(len(masses)))
 
     def test_caps_at_one(self):
-        lat = LatticeDistribution(Fraction(1), 0, np.full(3 * _TAIL_BLOCK, 0.01), 0.0)
+        lat = LatticeDistribution(1, 0, 1, np.full(3 * _TAIL_BLOCK, 0.01), 0.0)
         assert lat.tail(-1.0) == 1.0
         assert_tails_are_fsum(lat, table_indices(len(lat), 5))
 
@@ -561,7 +688,8 @@ class TestAliasSampler:
 
     def test_wide_two_atom_block_skips_the_lattice(self):
         # atoms -0.123457 and 1 sit 1123457 steps of 10^-6 apart: 80 copies
-        # would span a 9e7-point lattice, the binomial needs 81 points
+        # span 9e7 such steps, but the reduced lattice has the binomial's 81
+        # points
         dist = hoeffding_extremal(0.123457)
         tracemalloc.start()
         try:
@@ -609,9 +737,10 @@ class TestAliasSampler:
             assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
 
     def test_unsupported_lattice_falls_back(self, monkeypatch):
-        # FIVE_ATOM x 7 needs 246 lattice points; a two-atom table needs no
-        # lattice, so the cap does not touch it.  The exact tail comes from
-        # another instance, built before the cap is lowered.
+        # FIVE_ATOM x 7 needs 246 lattice points; a two-atom table of mult
+        # copies is a lattice of mult + 1 points, under the same cap.  The
+        # exact tail comes from another instance, built before the cap is
+        # lowered.
         thr = SumModel(((FIVE_ATOM, 7),)).sigma
         exact = build_lattice(SumModel(((FIVE_ATOM, 7),))).tail(thr, True)
         monkeypatch.setattr(oracle, "MAX_LATTICE_POINTS", 100)
@@ -619,7 +748,8 @@ class TestAliasSampler:
         with pytest.raises(UnsupportedModelError):
             build_lattice(m)
         assert isinstance(_component_sampler(FIVE_ATOM, 7, 10**5), _Multinomial)
-        assert isinstance(_component_sampler(rademacher(), 200, 10**5), _AliasTable)
+        assert isinstance(_component_sampler(rademacher(), 99, 10**5), _AliasTable)
+        assert isinstance(_component_sampler(rademacher(), 100, 10**5), _Multinomial)
         for est in (mc_tail(m, thr, True, 20000, 8), tilted_mc_tail(m, thr, True, 20000, 8)):
             assert abs(est.p - exact) <= 4 * est.stderr, (est, exact)
 

@@ -265,13 +265,13 @@ class TestReweightedTiltedCdf:
         # the tilted atom law to 45 digits, convolved in 140-bit fixed point
         m = _MODELS["five100"]
         (dist, n), = m.components
-        lat = build_lattice(m)
         bits = 140
         with mpmath.workdps(45):
             w = [mpmath.mpf(p) * mpmath.exp(mpmath.mpf(lam) * mpmath.mpf(v))
                  for v, p in dist.atoms]
             q = [int(mpmath.floor(x / mpmath.fsum(w) * 2**bits)) for x in w]
-        offsets = [int((Fraction(v) - Fraction(dist.lower)) / lat.step) for v in dist.values]
+        # the atoms' offsets on the sum's lattice, as the exact build lays them
+        _, [(offsets, _, _)], _ = oracle._lattice_layout([(dist.values, dist.probs, n)])
         masses = np.array([1 << bits], dtype=object)
         for _ in range(n):
             nxt = np.zeros(len(masses) + offsets[-1], dtype=object)

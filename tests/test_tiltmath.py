@@ -84,7 +84,8 @@ def test_zero_tilt_is_the_identity(model):
         [(d.values, d.probs, m) for d, m in model.components]))
     for other in (plain, untilted):
         assert other is not tilted
-        assert (tilted.step, tilted.base) == (other.step, other.base)
+        assert ((tilted.denominator, tilted.base, tilted.stride)
+                == (other.denominator, other.base, other.stride))
         assert np.array_equal(tilted.masses, other.masses)
 
 
