@@ -15,10 +15,10 @@ so the only rounding the exponent sees is that of exp itself; y > 0 reflects.
 The lower tail Phi(-x) keeps its relative accuracy wherever it is a normal
 float, which 1 - Phi(x) loses once Phi(x) rounds to 1 (at x = 8.3).
 
-Each function has a vector form, an in-place Clenshaw loop over numpy
-arrays, and a scalar form running the same operations on Python floats; the
-two give the same erfcx bits, and Phi differs only where numpy's exp and
-math.exp round differently.
+One Clenshaw loop evaluates erfcx on a Python float or, entry by entry, on
+a numpy array, with the same bits either way.  Phi has a vector form and a
+scalar form running the same operations; they differ only where numpy's exp
+and math.exp round differently.
 """
 
 from __future__ import annotations
@@ -68,38 +68,15 @@ _Y_ONE = 8.3
 _Y_ZERO = 38.5
 
 
-def erfcx(z: np.ndarray) -> np.ndarray:
-    """exp(z^2) erfc(z) of every z >= 0 (an array, returned as a new one)."""
-    s = np.add(z, 2.0, dtype=float)
-    t2 = np.divide(4.0, s)
-    t2 -= 1.0
-    t2 *= 2.0
-    # Clenshaw: b_j = t2 b_{j+1} - b_{j+2} + a_j, with b1, b2 = b_{j+1}, b_{j+2}
-    b1 = np.full_like(s, _ERFCX_CHEB[-1])
-    b2 = np.zeros_like(s)
-    tmp = np.empty_like(s)
-    for a in _INNER:
-        np.multiply(t2, b1, out=tmp)
-        tmp -= b2
-        tmp += a
-        b1, b2, tmp = tmp, b1, b2
-    # f = t b_1 - b_2 + a_0, and erfcx = f / ((2 + z) / 2)
-    t2 *= 0.5
-    t2 *= b1
-    t2 -= b2
-    t2 += _A0
-    s *= 0.5
-    t2 /= s
-    return t2
-
-
-def erfcx_scalar(z: float) -> float:
-    """:func:`erfcx` of one float z >= 0, with the same operations."""
+def erfcx(z):
+    """exp(z^2) erfc(z) of a float z >= 0, or of every entry of an array."""
     s = z + 2.0
     t2 = (4.0 / s - 1.0) * 2.0
+    # Clenshaw: b_j = t2 b_{j+1} - b_{j+2} + a_j, with b1, b2 = b_{j+1}, b_{j+2}
     b1, b2 = _ERFCX_CHEB[-1], 0.0
     for a in _INNER:
         b1, b2 = t2 * b1 - b2 + a, b1
+    # f = t b_1 - b_2 + a_0, and erfcx = f / ((2 + z) / 2)
     return ((t2 * 0.5) * b1 - b2 + _A0) / (s * 0.5)
 
 
@@ -146,5 +123,5 @@ def ndtr_scalar(y: float) -> float:
     lo = a - hi
     p = a * a
     e = hi * hi - p + 2.0 * hi * lo + lo * lo
-    tail = math.exp(p * -0.5) * (e * -0.5 + 1.0) * erfcx_scalar(a * _SQRT1_2) * 0.5
+    tail = math.exp(p * -0.5) * (e * -0.5 + 1.0) * erfcx(a * _SQRT1_2) * 0.5
     return 1.0 - tail if y > 0.0 else tail

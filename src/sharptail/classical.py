@@ -1,5 +1,10 @@
 """Closed-form classical tail bounds and the scaled normal-tail functions.
 
+The Hoeffding, Bennett and Bernstein bounds hold for sums of n independent
+mean-zero summands with xi_i <= 1 and variance sigma^2; they are formulas of
+(x, sigma, n) alone, so the hypothesis is checked where a model meets them
+(:data:`sharptail.sharp.BOUNDS`).
+
 Everything here is evaluated in log space and exponentiated last, because the
 exponents reach order n ~ 1e4 in the sweeps.  Phi and the scaled Gaussian
 tail (Mill's ratio) come from :mod:`sharptail._normal`; the ratio goes
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ._normal import erfcx_scalar, ndtr_scalar
+from ._normal import erfcx, ndtr_scalar
 from .errors import ParameterError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -32,7 +37,7 @@ def mills_ratio(x: float) -> float:
     """
     if not x >= 0:
         raise ParameterError(f"mills_ratio requires x >= 0, got {x}")
-    return 0.5 * erfcx_scalar(float(x) / math.sqrt(2.0))
+    return 0.5 * erfcx(float(x) / math.sqrt(2.0))
 
 
 def _check_x_sigma(x: float, sigma: float) -> None:

@@ -304,7 +304,8 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
         if reason is not None:
             checks.append({"name": name, "skipped": True, "reason": reason})
         else:
-            grids[name] = np.linspace(0.0, BOUNDS[name].check_end(model, B), _CONTAINMENT_POINTS)
+            grids[name] = np.linspace(
+                0.0, BOUNDS[name].check_end(model, B), _CONTAINMENT_POINTS).tolist()
     # every grid in one batched solve; the intervals read its record
     solve_targets(model, [x * model.sigma for xs in grids.values() for x in xs])
     for name, xs in grids.items():
@@ -385,7 +386,7 @@ def cmd_mc(args) -> int:
     }
     if est.method == "tilted_mc":
         payload["relative_stderr"] = est.stderr / est.p if est.p > 0 else None
-    if est.p == 0.0:
+    if est.hits == 0:
         # the exact bound for zero successes in n trials, 1 - 0.05^(1/n) <= 3/n
         bound = -math.expm1(math.log(0.05) / args.samples)
         payload["note"] = f"no hits: a one-sided 95% upper confidence bound is {bound:.3e}"

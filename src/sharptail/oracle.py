@@ -44,9 +44,10 @@ from functools import cached_property
 import numpy as np
 
 from ._tiltmath import tilted_stats
-from .errors import HypothesisError, ParameterError, UnsupportedModelError
-from .models import SumModel, hoeffding_extremal, support_violation
+from .errors import ParameterError, UnsupportedModelError
+from .models import SumModel, hoeffding_extremal
 from .rate import solve_target
+from .sharp import BENTKUS
 
 #: largest denominator used when snapping atom values to a rational grid
 DENOMINATOR_CAP = 10**6
@@ -97,11 +98,13 @@ class TailEstimate:
     n_samples: int
     seed: int | None = None
     lam: float | None = None  # tilt used by the importance sampler
+    hits: int | None = None   # sampled rows past the threshold
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        if self.lam is None:
-            del out["lam"]
+        for key in ("lam", "hits"):
+            if out[key] is None:
+                del out[key]
         return out
 
 
@@ -592,19 +595,19 @@ def _mc_estimate(model: SumModel, threshold: float, strict: bool,
     weights = _WeightStats()
     for sums in _sample_sums(samplers, n_samples, seed):
         hit = (sums > threshold) if strict else (sums >= threshold)
+        hits += int(np.count_nonzero(hit))
         if tilted:
             weights.add(_relative_weights(sums, hit, threshold, lam))
-        else:
-            hits += int(np.count_nonzero(hit))
     if tilted:
         mean, stderr = weights.finish()
         # e^(cum(lam) - lam t) = e^(-I), the Chernoff bound at the threshold
         scale = math.exp(sp.log_bound)
         return TailEstimate(p=scale * mean, stderr=scale * stderr, method="tilted_mc",
-                            n_samples=n_samples, seed=seed, lam=lam)
+                            n_samples=n_samples, seed=seed, lam=lam, hits=hits)
     p = hits / n_samples
     stderr = math.sqrt(p * (1.0 - p) / n_samples)
-    return TailEstimate(p=p, stderr=stderr, method="mc", n_samples=n_samples, seed=seed)
+    return TailEstimate(p=p, stderr=stderr, method="mc", n_samples=n_samples, seed=seed,
+                        hits=hits)
 
 
 def mc_tail(model: SumModel, threshold: float, strict: bool,
@@ -701,11 +704,7 @@ def bentkus_bound(model: SumModel, x: float) -> float:
     arithmetic, the hull is log-linear between vertices, and past the last
     positive one it is 0.
     """
-    if not x >= 0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    reason = support_violation(model, "upper")
-    if reason is not None:
-        raise HypothesisError(reason)
+    BENTKUS.admit(model, x)
     n = model.n
     target = x * model.sigma
     if target > n:  # past the reference sum's top point (or infinite)

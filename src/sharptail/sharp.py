@@ -4,8 +4,10 @@ exponential-Markov bound, with fully explicit constants.
 Each interval function returns a :class:`SharpInterval` whose center is a
 scaled-normal-tail factor times the optimized Markov (Chernoff) bound and
 whose half-width is an explicit error term.  Out-of-range x never
-extrapolates: the result is flagged invalid and carries only the always-valid
-capped Hoeffding upper bound.
+extrapolates: the result is flagged invalid and carries only the capped
+Hoeffding upper bound, which holds because every flagged interval's own
+hypothesis implies xi_i <= 1.  `BOUNDS` states the hypotheses of every bound
+the package prints, the classical ones and Bentkus's included.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class SharpInterval:
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """One sharp bound's hypotheses and admissible x-range, stated once.
+    """One printed bound's hypotheses and admissible x-range, stated once.
 
     `support` names its support hypothesis (see
     :func:`sharptail.models.support_violation`), if any.  With `ratio_b`, B
@@ -107,14 +109,21 @@ TWO_SIDED = BoundSpec("two_sided", support="abs", limit=lambda m, B: 0.606 * m.s
 NORMAL_SHAPE = BoundSpec("normal_shape", support="upper", ratio_b=True, limit=THIRD_MOMENT.limit)
 SUBGAUSSIAN = BoundSpec("subgaussian", support="sigma", ratio_b=True,
                         limit=EXPANSION.limit, open=True)
+HOEFFDING = BoundSpec("hoeffding", support="upper")
+BENNETT = BoundSpec("bennett", support="upper")
+BERNSTEIN = BoundSpec("bernstein", support="upper")
+BENTKUS = BoundSpec("bentkus", support="upper")
 
-#: every sharp bound's declaration, by name
+#: every printed bound's declaration, by name
 BOUNDS = {spec.name: spec for spec in (
-    EXPANSION, SADDLEPOINT, THIRD_MOMENT, TWO_SIDED, NORMAL_SHAPE, SUBGAUSSIAN)}
+    EXPANSION, SADDLEPOINT, THIRD_MOMENT, TWO_SIDED, NORMAL_SHAPE, SUBGAUSSIAN,
+    HOEFFDING, BENNETT, BERNSTEIN, BENTKUS)}
 
 
 def _flagged(name, model, x, range_limit, constants):
-    """Out-of-range fallback: only the capped Hoeffding bound is asserted."""
+    """Out-of-range fallback: only the capped Hoeffding bound is asserted,
+    without a check of its own, because every flagged interval's hypothesis
+    (xi_i <= 1 or |xi_i| <= 1) implies Hoeffding's."""
     h = hoeffding_bound(x, model.sigma, model.n)
     return SharpInterval(
         name=name, x=x, lower=0.0, center=math.nan, upper=min(1.0, h),
@@ -151,8 +160,7 @@ def expansion_error(model: SumModel, x: float, B: float, delta: float = 1.0,
 
 def _interval_from_band(name, model, x, theta, band, t, limit, constants):
     ch = chernoff_bound(model, x)
-    # Hoeffding's bound needs xi_i <= 1
-    h = 1.0 if support_violation(model, "upper") else hoeffding_bound(x, model.sigma, model.n)
+    h = 1.0 if HOEFFDING.violation(model) else hoeffding_bound(x, model.sigma, model.n)
     center = theta * ch
     upper = min((theta + band) * ch, min(1.0, theta + band) * h, 1.0)
     # on the extremal law h equals ch up to rounding, so a band of a few ulps

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 
 import sharptail
@@ -22,8 +23,9 @@ from sharptail import (
     rademacher_model,
 )
 from sharptail.cli import main
+from sharptail.sharp import BOUNDS
 
-from conftest import FIVE_ATOM
+from conftest import FIVE_ATOM, _centered_dist
 
 
 @pytest.fixture
@@ -133,6 +135,38 @@ class TestBoundsCommand:
         ])
         assert code == 3
         assert "hypothesis" in err
+
+    @pytest.mark.parametrize("name", ["hoeffding", "bennett", "bernstein"])
+    def test_classical_column_past_one_exit_3(self, capsys, tmp_path, name):
+        # atoms 2 and -0.5: Hoeffding's formula reads 0 at x = 8, where the
+        # exact tail is 2.8e-12
+        path = tmp_path / "wide.json"
+        model = SumModel(((DiscreteDistribution(((2.0, 0.2), (-0.5, 0.8))), 30),))
+        path.write_text(json.dumps(model_to_dict(model)))
+        code, out, err = run(capsys, [
+            "bounds", "--model", str(path), "--x-grid", "0:12:49", "--bounds", name,
+        ])
+        assert (code, out) == (3, "")
+        assert err == f"hypothesis violation: {name} needs xi_i <= 1\n"
+
+    @pytest.mark.parametrize("atoms, n", [
+        (((2.0, 0.2), (-0.5, 0.8)), 30),
+        (((3.0, 0.01), (-1 / 33, 0.99)), 100),
+    ])
+    def test_classical_columns_blank_past_one(self, capsys, tmp_path, atoms, n):
+        # on the jump-3 model, the three formulas read below the exact
+        # non-strict tail at 31, 30 and 26 of these 49 points
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(model_to_dict(SumModel(((DiscreteDistribution(atoms), n),)))))
+        code, out, err = run(capsys, [
+            "bounds", "--model", str(path), "--x-grid", "0:12:49", "--nonstrict",
+            "--format", "json",
+        ])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 49 and all(row["exact"] is not None for row in rows)
+        for name in ("hoeffding", "bennett", "bernstein"):
+            assert [row[name] for row in rows] == [None] * 49
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])
     def test_non_finite_grid_exit_2(self, capsys, rad_file, grid):
@@ -401,6 +435,61 @@ def test_ratio_fuzz(capsys, n_list, x_max, points, fmt):
         assert row["theta_hoeffding"] > 0.0 and row["ratio"] > 0.0, row
 
 
+#: `bounds` columns that print an upper bound on the tail, and the intervals
+_UPPER_COLUMNS = ("hoeffding", "bennett", "bernstein", "chernoff", "normal_shape", "subgaussian")
+_INTERVAL_COLUMNS = ("expansion", "saddlepoint", "third_moment", "two_sided")
+
+
+@hst.composite
+def wide_models(draw):
+    """1-2 blocks of 2-4 atoms on multiples of 1/20 in [-3, 3], recentred
+    exactly, with multiplicities 1-40: atoms past 1 break xi_i <= 1."""
+    blocks = []
+    for _ in range(draw(hst.integers(1, 2))):
+        k = draw(hst.integers(2, 4))
+        picks = draw(hst.lists(hst.integers(-60, 60), min_size=k, max_size=k, unique=True))
+        weights = draw(hst.lists(hst.integers(1, 19), min_size=k, max_size=k))
+        dist = _centered_dist([Fraction(v, 20) for v in picks], weights)
+        assume(dist is not None)
+        blocks.append((dist, draw(hst.integers(1, 40))))
+    return SumModel(tuple(blocks))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=wide_models(), points=hst.integers(12, 30))
+def test_every_printed_bound_holds_on_random_models(capsys, tmp_path, model, points):
+    # every printed upper bound is at least the exact non-strict tail, every
+    # valid interval contains the strict tail and a flagged one's upper end
+    # lies above it; a column whose hypothesis fails is blank at every x
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    code, out, err = run(capsys, [
+        "bounds", "--model", str(path), "--format", "json",
+        f"--x-grid=0:{model.max_support / model.sigma!r}:{points}"])
+    assert (code, err) == (0, "")
+    lattice = build_lattice(model)
+    failing = {name for name in _UPPER_COLUMNS + _INTERVAL_COLUMNS
+               if name in BOUNDS and BOUNDS[name].violation(model) is not None}
+    for row in json.loads(out)["rows"]:
+        nonstrict = lattice.tail(row["x"] * model.sigma, strict=False)
+        strict = lattice.tail(row["x"] * model.sigma, strict=True)
+        for name in _UPPER_COLUMNS:
+            value = row[name]
+            if name in failing:
+                assert value is None, (name, row)
+            elif value is not None:
+                assert value >= nonstrict * (1 - 1e-12), (name, row, nonstrict)
+        for name in _INTERVAL_COLUMNS:
+            lower, upper = row[f"{name}_lower"], row[f"{name}_upper"]
+            if name in failing:
+                assert (lower, upper, row[f"{name}_valid"]) == (None, None, False), (name, row)
+            elif row[f"{name}_valid"]:
+                assert lower <= strict * (1 + 1e-12), (name, row, strict)
+                assert upper >= strict * (1 - 1e-12), (name, row, strict)
+            elif upper is not None:
+                assert upper >= strict * (1 - 1e-12), (name, row, strict)
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--x-grid", "0:1e308:3"],
     ["bounds", "--x-grid", "0:1e308:3", "--b", "2", "--format", "json"],
@@ -465,6 +554,18 @@ def test_verify_huge_b(capsys, tmp_path, b):
     checks = _strict_json(out)["inequalities"]
     assert all(c["holds"] for c in checks if not c.get("skipped"))
     assert {c["name"] for c in checks if c.get("skipped")} == {"cumulant_gaussian"}
+
+
+def test_verify_b_at_the_float_limit_warns_nothing(capsys, tmp_path):
+    # the expansion error term overflows at B = 1e308; on the containment
+    # grid's numpy scalars that printed a RuntimeWarning on stderr
+    path = tmp_path / "five100.json"
+    path.write_text(json.dumps(model_to_dict(SumModel(((FIVE_ATOM, 100),)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", "--model", str(path), "--b=1e308"])
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["ok"]
 
 
 class TestRatioCommand:
@@ -628,6 +729,24 @@ class TestMcCommand:
         payload = json.loads(out)
         assert payload["estimate"]["p"] == 0.0
         assert "upper confidence" in payload["note"]
+
+    def test_note_follows_the_hit_count(self, capsys, tmp_path):
+        # P(1) = 1e-100: about half the tilted rows pass t = 3.5, but each
+        # weight scales by e^(cum - lam t) ~ 1e-400, so p underflows to 0;
+        # plain rows almost never hit
+        model = SumModel(((DiscreteDistribution(((-1e-100, 1.0), (1.0, 1e-100))), 8),))
+        path = tmp_path / "rare.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        argv = ["mc", "--model", str(path), f"--x={3.5 / model.sigma!r}", "--samples", "2000",
+                "--seed", "1"]
+        code, out, _ = run(capsys, argv + ["--method", "tilted"])
+        tilted = json.loads(out)
+        assert code == 0 and tilted["estimate"]["p"] == 0.0
+        assert tilted["estimate"]["hits"] > 0 and "note" not in tilted
+        code, out, _ = run(capsys, argv)
+        plain = json.loads(out)
+        assert code == 0 and plain["estimate"]["hits"] == 0
+        assert plain["note"].startswith("no hits:")
 
     @pytest.mark.parametrize("samples,bound", [(1, "9.500e-01"), (2, "7.764e-01"),
                                                (10**5, "2.996e-05")])

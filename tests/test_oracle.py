@@ -897,6 +897,15 @@ class TestTiltedMonteCarlo:
             est = tilted_mc_tail(m, thr, True, n, seed)
         # the true tail, 70 * 1e-400, is below the smallest double
         assert est.p == 0.0 and est.stderr == 0.0
+        # ... though about half the tilted rows hit, which `hits` still shows
+        assert est.hits == int(np.count_nonzero(sums > thr)) > 0
+
+    def test_hits_count_rows_past_the_threshold(self):
+        m = rademacher_model(30)
+        plain = mc_tail(m, 4.0, False, 3000, 7)
+        assert plain.hits == round(plain.p * 3000) > 0
+        assert plain.to_dict()["hits"] == plain.hits
+        assert "hits" not in exact_tail(m, 4.0).to_dict()
 
 
 def chain_hull(t):
@@ -1035,8 +1044,10 @@ class TestBentkus:
 
     def test_hypothesis_gate(self):
         wide = DiscreteDistribution(((2.0, 0.2), (-0.5, 0.8)))
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match=r"^needs xi_i <= 1$"):
             bentkus_bound(SumModel(((wide, 5),)), 1.0)
+        with pytest.raises(ParameterError, match=r"^x must be >= 0, got -1.0$"):
+            bentkus_bound(rademacher_model(5), -1.0)
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_wide_stride_against_mpmath(self, n):
