@@ -85,9 +85,14 @@ def hoeffding_bound(x: float, sigma: float, n: int) -> float:
 
 
 def bernstein_arg(x: float, sigma: float) -> float:
-    """The shrunk argument x / sqrt(1 + x/(3 sigma)) of the Bernstein exponent."""
+    """The shrunk argument x / sqrt(1 + x/(3 sigma)) of the Bernstein exponent;
+    sqrt(3 sigma x), its limit, once x/(3 sigma) overflows (x / inf is 0, or
+    nan at x = inf)."""
     _check_x_sigma(x, sigma)
-    return x / math.sqrt(1.0 + x / (3.0 * sigma))
+    r = x / (3.0 * sigma)
+    if r == math.inf:
+        return math.sqrt(3.0 * sigma) * math.sqrt(x)
+    return x / math.sqrt(1.0 + r)
 
 
 def bernstein_bound(x: float, sigma: float) -> float:

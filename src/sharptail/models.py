@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import ModelError, ParameterError
 
 MEAN_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
-#: slack on every hypothesis check: a constant that meets its cap up to
-#: rounding still satisfies the hypothesis
+#: relative slack on every hypothesis check: a constant that meets its cap up
+#: to rounding still satisfies the hypothesis, at any scale of the atoms
 HYP_TOL = 1e-12
 
 
@@ -215,7 +215,7 @@ _SUPPORT = {
     "upper": (lambda m: m.a_max <= 1.0 + HYP_TOL, "needs xi_i <= 1"),
     "abs": (lambda m: m.a_max <= 1.0 + HYP_TOL and m.lower_min >= -1.0 - HYP_TOL,
             "needs |xi_i| <= 1"),
-    "sigma": (lambda m: all(d.upper <= math.sqrt(d.variance) + HYP_TOL for d, _ in m.components),
+    "sigma": (lambda m: all(d.upper <= math.sqrt(d.variance) * (1 + HYP_TOL) for d, _ in m.components),
               "needs xi_i <= sigma_i for every component"),
 }
 
@@ -251,8 +251,8 @@ class CurvatureReport:
 
 def default_lambda_grid(B: float) -> np.ndarray:
     """0 plus 200 log-spaced tilts in [1e-6, 10/B]."""
-    if not B > 0:
-        raise ParameterError(f"B must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ParameterError(f"B must be positive and finite, got {B}")
     return np.concatenate(([0.0], np.geomspace(1e-6, 10.0 / B, 200)))
 
 
@@ -264,8 +264,8 @@ def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
     check is a surrogate for the all-lam statement; for delta = 1 the exact
     sufficient criterion is :func:`curvature_condition_from_moments`.
     """
-    if not B > 0:
-        raise ParameterError(f"B must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ParameterError(f"B must be positive and finite, got {B}")
     grid = default_lambda_grid(B) if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("lambda grid must be non-empty")
@@ -274,11 +274,10 @@ def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
     values, probs, mults = model.packed_atoms
     # padding atoms (probability 0) keep 0, so an overflow gives inf, not nan
     growth = np.zeros((grid.size,) + values.shape)
-    with np.errstate(over="ignore"):
-        np.exp(grid[:, None, None] * values, out=growth, where=probs > 0)
-    # one (1 x K) @ (K x 1) dot per row, as `DiscreteDistribution.variance` takes
-    rows = (growth[:, :, None, :] @ (probs * values**2)[:, :, None])[..., 0, 0]
     with np.errstate(over="ignore"):  # an overflowed margin is inf, reported as such
+        np.exp(grid[:, None, None] * values, out=growth, where=probs > 0)
+        # one (1 x K) @ (K x 1) dot per row, as `DiscreteDistribution.variance` takes
+        rows = (growth[:, :, None, :] @ (probs * values**2)[:, :, None])[..., 0, 0]
         margins = np.add.reduce(rows * mults, axis=1) - (1.0 - B * grid) * model.sigma2
     k = int(np.argmin(margins))
     return CurvatureReport(
@@ -294,6 +293,35 @@ def curvature_condition_from_moments(model: SumModel, B: float) -> bool:
     if not B > 0:
         raise ParameterError(f"B must be positive, got {B}")
     return all(abs_moment(d, 3) <= B * d.variance * (1 + HYP_TOL) for d, _ in model.components)
+
+
+def envelope_violations(model: SumModel, B: float, delta: float, lambda_grid):
+    """violation(check): why an envelope check of `sharptail.tilting`, or its
+    1.12/sigma_bar bound ("normal_approx"), fails its hypothesis at (B, delta),
+    else None.  Each hypothesis is decided once, when first needed, with the
+    relative slack HYP_TOL; curvature on `lambda_grid`, the grid `verify` prints."""
+    upper_B = model.a_max <= B * (1 + HYP_TOL)
+    with np.errstate(over="ignore"):  # a huge B's cap overflows to inf, met by every moment
+        cap = np.float64(B) ** (2 + delta) * (1 + HYP_TOL)
+    moment_B = cache(lambda: max(abs_moment(d, 2 + delta) for d, _ in model.components) <= cap)
+    ratio = cache(lambda: curvature_condition_from_moments(model, B))
+    curvature = cache(lambda: ratio() or check_curvature_condition(model, B, lambda_grid).holds)
+    reasons = {
+        "mgf_two_point": lambda: support_violation(model, "upper"),
+        "mgf_gaussian": lambda: None if upper_B and moment_B()
+            else "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)",
+        "tilted_mean_two_sided": lambda: None if upper_B and curvature()
+            else "needs xi_i <= B and the curvature condition",
+        "cumulant_two_point": lambda: support_violation(model, "upper"),
+        "tilted_variance_two_sided": lambda: None if upper_B and curvature() and moment_B()
+            else "needs xi_i <= B, the curvature condition and the (2+delta) moment cap",
+        "cumulant_gaussian": lambda: support_violation(model, "sigma"),
+        "tilted_variance_lower": lambda: None if upper_B and ratio()
+            else "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2",
+        "tilted_mean_lower": lambda: support_violation(model, "abs"),
+        "normal_approx": lambda: support_violation(model, "abs"),
+    }
+    return lambda check: reasons[check]()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .classical import SQRT_2PI, SQRT_PI, bernstein_arg, hoeffding_bound, mills_ratio, normal_cdf
 from .errors import HypothesisError, ParameterError, RangeError
-from .models import HYP_TOL, SumModel, support_violation
+from .models import SumModel, curvature_condition_from_moments, support_violation
 from .rate import chernoff_bound, solve_saddlepoint
 
 #: the universal Berry-Esseen constant for third-moment normalization, the
@@ -85,7 +85,7 @@ class BoundSpec:
             raise HypothesisError(reason)
         if self.ratio_b and B is None:
             B = model.b_ratio
-        elif self.ratio_b and B < model.b_ratio * (1 - HYP_TOL):
+        elif self.ratio_b and not curvature_condition_from_moments(model, B):
             raise HypothesisError(f"B = {B} is below the third-moment ratio {model.b_ratio:.6g}")
         limit = self.limit(model, B)
         return B, limit, x < limit if self.open else x <= limit

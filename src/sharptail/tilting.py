@@ -7,8 +7,9 @@ derivative) and the total tilted variance.
 `inequality_suite` evaluates, on a tilt grid, the standard envelope
 inequalities this package's sharp bounds rest on: two-point and Gaussian MGF
 caps, two-sided envelopes for the tilted mean and tilted variance, and
-cumulant caps.  Each check carries its own hypothesis gate: a model that does
-not satisfy a hypothesis yields "skipped", never a failure.
+cumulant caps.  :func:`sharptail.models.envelope_violations` decides their
+hypotheses and that of `berry_esseen_tilted`'s 1.12/sigma_bar bound: a model
+that does not satisfy a hypothesis yields "skipped", never a failure.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ import numpy as np
 from ._normal import ndtr
 from ._tiltmath import packed_cumulants, packed_tilt, tilted_stats
 from .errors import NumericalError, ParameterError
-from .models import (
-    HYP_TOL,
-    SumModel,
-    abs_moment,
-    check_curvature_condition,
-    curvature_condition_from_moments,
-    support_violation,
-)
+from .models import SumModel, abs_moment, envelope_violations
 from .oracle import build_lattice, build_tilted_lattice
 from .sharp import C3_UNIVERSAL
 
@@ -160,18 +154,12 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
         stats, _ = packed_tilt(values, probs, lams)
         psi, bn, varbar = np.add.reduce(stats * mults, axis=2)
 
-    upper_ok_B = model.a_max <= B + HYP_TOL
-    # a huge B's power overflows to inf, a cap every finite moment meets
-    with np.errstate(over="ignore"):
-        moment_cap = np.float64(B) ** (2 + delta) * (1 + HYP_TOL)
-    moment_ok_B = bool(max(abs_moment(d, 2 + delta) for d, _ in model.components) <= moment_cap)
-    third_ok = curvature_condition_from_moments(model, B)
-    curvature_ok = third_ok or check_curvature_condition(model, B).holds
-
+    violation = envelope_violations(model, B, delta, lambda_grid)
     checks = []
 
-    def add(name, reason, margins):
-        """Skip the check with `reason`, or record the worst of `margins()`."""
+    def add(name, margins):
+        """Skip the check if its hypothesis fails, or record the worst of `margins()`."""
+        reason = violation(name)
         if reason is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 marg = np.asarray(margins(), dtype=float)
@@ -186,49 +174,38 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
 
     # 1. per-component MGF <= extremal two-point MGF
     second = np.array([abs_moment(d, 2) for d, _ in model.components])
-    add("mgf_two_point", support_violation(model, "upper"), lambda: np.min(
+    add("mgf_two_point", lambda: np.min(
         _two_point_mgf_cap(lams[:, None], second) - np.exp(stats[0]), axis=1))
 
     # 2. per-component MGF <= exp(B^2 lam^2 / 2)
-    add("mgf_gaussian",
-        None if upper_ok_B and moment_ok_B
-        else "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)",
-        lambda: np.exp(0.5 * (B * lams) ** 2) - np.max(np.exp(stats[0]), axis=1))
+    add("mgf_gaussian", lambda: np.exp(0.5 * (B * lams) ** 2) - np.max(np.exp(stats[0]), axis=1))
 
     # 3. two-sided envelope for the tilted mean
     def tilted_mean_margins():
         upper_m = (np.exp(B * lams) - 1.0) / B * s2 - bn
         lower_m = bn - (1.0 - 0.5 * B * lams) * lams * s2 * np.exp(-0.5 * (B * lams) ** 2)
         return np.minimum(upper_m, lower_m) / s2
-    add("tilted_mean_two_sided",
-        None if upper_ok_B and curvature_ok else "needs xi_i <= B and the curvature condition",
-        tilted_mean_margins)
+    add("tilted_mean_two_sided", tilted_mean_margins)
 
     # 4. cumulant <= n * log of the extremal two-point MGF at variance sigma^2/n
-    add("cumulant_two_point", support_violation(model, "upper"),
-        lambda: (n * np.log(_two_point_mgf_cap(lams, s2 / n)) - psi) / s2)
+    add("cumulant_two_point", lambda: (n * np.log(_two_point_mgf_cap(lams, s2 / n)) - psi) / s2)
 
     # 5. two-sided envelope for the tilted variance
     def tilted_variance_margins():
         upper_m = np.exp(B * lams) * s2 - varbar
         lower_m = varbar - np.maximum(1.0 - 2.0 * B * lams, 0.0) * s2
         return np.minimum(upper_m, lower_m) / s2
-    add("tilted_variance_two_sided",
-        None if upper_ok_B and curvature_ok and moment_ok_B
-        else "needs xi_i <= B, the curvature condition and the (2+delta) moment cap",
-        tilted_variance_margins)
+    add("tilted_variance_two_sided", tilted_variance_margins)
 
     # 6. cumulant <= lam^2 sigma^2 / 2
-    add("cumulant_gaussian", support_violation(model, "sigma"),
-        lambda: (0.5 * lams * lams * s2 - psi) / s2)
+    add("cumulant_gaussian", lambda: (0.5 * lams * lams * s2 - psi) / s2)
 
     # 7. tilted variance lower bound from the third-moment ratio
     add("tilted_variance_lower",
-        None if upper_ok_B and third_ok else "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2",
         lambda: (varbar - np.maximum(1.0 - B * lams, 0.0) * np.exp(-(B * lams) ** 2) * s2) / s2)
 
     # 8. tilted mean lower bound for |xi_i| <= 1
-    add("tilted_mean_lower", support_violation(model, "abs"),
+    add("tilted_mean_lower",
         lambda: (bn - (1.0 - np.exp(-lams)) * np.exp(-0.5 * lams * lams) * s2) / s2)
 
     return SuiteReport(tuple(checks))
@@ -243,13 +220,20 @@ class NormalApproxReport:
     lam: float
     sup_distance: float
     bound: float              # the bound actually enforced
-    moment_bound: float       # (2+delta)-moment route
+    moment_bound: float       # (2+delta)-moment route; inf once it overflows
     bounded_bound: float | None  # 1.12/sigma_bar when |xi_i| <= 1
     sigma_bar: float
-    holds: bool
+    holds: bool | None        # None when skipped
+    reason: str | None        # why the tilt was skipped
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        if self.reason is not None:
+            return {"lam": self.lam, "skipped": True, "reason": self.reason}
+        out = asdict(self)
+        del out["reason"]
+        for key in ("bound", "moment_bound"):  # null once it overflows, as JSON has no inf
+            out[key] = out[key] if math.isfinite(out[key]) else None
+        return out
 
 
 def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
@@ -258,6 +242,8 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
     against its Berry-Esseen-type bound: 1.12/sigma_bar when every
     |xi_i| <= 1, else 2^(2+delta) C e^(B lam) sum E|xi_i|^(2+delta) /
     sigma_bar^(2+delta) with B = a_max (the smallest valid support bound).
+    A tilt whose sigma_bar is 0 (every tilted summand but one atom underflows)
+    or not finite is skipped: nothing standardizes the sum there.
 
     The model must be lattice-representable.  The tilted law is the plain one
     times w_k = exp(lam v_k - cum(lam)), so its CDF is read off `build_lattice`
@@ -284,6 +270,9 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
     cum, mean, var = packed_cumulants(*model.packed_atoms, [lam])[:, 0].tolist()
     sbar = math.sqrt(var)
+    if not 0.0 < sbar < math.inf:
+        return NormalApproxReport(lam, math.nan, math.nan, math.nan, None, sbar, None,
+                                  "the tilted variance is not positive and finite at this lambda")
     lat, w = build_lattice(model), 1.0  # lam = 0 reads the masses as they are
     if lam > 0.0:
         U = 8 * len(lat) * sum(d.values.size * m for d, m in model.components)
@@ -302,13 +291,16 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
     sup = float(max(below.max(), above.max()))
 
     B = model.a_max
-    moment_bound = (
-        2.0 ** (2 + delta) * C * math.exp(B * lam)
-        * model.abs_moment_sum(2 + delta) / sbar ** (2 + delta)
-    )
-    bounded_bound = 1.12 / sbar if support_violation(model, "abs") is None else None
+    try:
+        moment_bound = (
+            2.0 ** (2 + delta) * C * math.exp(B * lam)
+            * model.abs_moment_sum(2 + delta) / sbar ** (2 + delta)
+        )
+    except (OverflowError, ZeroDivisionError):  # exp(B lam) or 1/sbar^(2+delta) overflows
+        moment_bound = math.inf
+    bounded_bound = None if envelope_violations(model, B, delta, None)("normal_approx") else 1.12 / sbar
     bound = bounded_bound if bounded_bound is not None else moment_bound
     return NormalApproxReport(
         lam=lam, sup_distance=sup, bound=bound, moment_bound=moment_bound,
-        bounded_bound=bounded_bound, sigma_bar=sbar, holds=bool(sup <= bound),
+        bounded_bound=bounded_bound, sigma_bar=sbar, holds=bool(sup <= bound), reason=None,
     )

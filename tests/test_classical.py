@@ -173,6 +173,13 @@ class TestBernstein:
         for x in np.linspace(0.1, 10, 50):
             assert bernstein_arg(x, 2.0) < x
 
+    @pytest.mark.parametrize("x,sigma", [(math.inf, 5.0), (math.inf, 1e-300), (1e308, 0.01)])
+    def test_overflowing_ratio_is_zero(self, x, sigma):
+        # x / (3 sigma) overflows: x / sqrt(inf) was nan at x = inf, and 0
+        # (a bound of 1) at finite x; the argument's limit is sqrt(3 sigma x)
+        assert bernstein_arg(x, sigma) == math.sqrt(3.0 * sigma) * math.sqrt(x)
+        assert bernstein_bound(x, sigma) == 0.0
+
 
 class TestShapes:
     def test_all_one_at_zero_and_nonincreasing(self):

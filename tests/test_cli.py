@@ -622,7 +622,53 @@ class TestRatioCommand:
         assert err.splitlines() == [f"error: --x-max must be >= 0, got {float(x_max)}"]
 
 
+def _model_file(tmp_path, components):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(SumModel(tuple(
+        (DiscreteDistribution(atoms), m) for atoms, m in components)))))
+    return str(path)
+
+
+_WIDE_P = 0.5 / 8000.5
+
+
+@pytest.mark.parametrize("components,lam,entry", [
+    # tilted at 0.1, sigma_bar^3 underflows: the moment bound overflows
+    ([(((-3000.0, 0.5), (3000.0, 0.5)), 10)], 0.1, "null"),
+    # e^(-2 lam s) underflows: the tilted variance is 0
+    ([(((-8000.0, 0.5), (8000.0, 0.5)), 10)], 0.05, "skipped"),
+    ([(((-1e6, 0.5), (1e6, 0.5)), 10)], 0.1, "skipped"),
+    # the +/-1 block keeps sigma_bar = 3.15 while exp(8000 lam) overflows
+    ([(((-1.0, 0.5), (1.0, 0.5)), 10), (((-0.5, 1 - _WIDE_P), (8000.0, _WIDE_P)), 1)],
+     0.1, "null"),
+])
+def test_verify_wide_atoms(capsys, tmp_path, components, lam, entry):
+    path = _model_file(tmp_path, components)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify", "--model", path])
+    assert (code, err) == (0, "")
+    rows = {r["lam"]: r for r in _strict_json(out)["normal_approx"]}
+    if entry == "skipped":
+        assert rows[lam] == {"lam": lam, "skipped": True, "reason":
+                             "the tilted variance is not positive and finite at this lambda"}
+    else:
+        assert rows[lam]["holds"] is True
+        assert rows[lam]["moment_bound"] is None and rows[lam]["bound"] is None
+
+
 class TestVerifyCommand:
+    def test_suite_decides_curvature_on_the_printed_grid(self, capsys, tmp_path):
+        # the third-moment ratio 2.5 exceeds B = 1.5, so the curvature
+        # condition is decided on the grid, the one `verify` prints: {0}
+        path = _model_file(tmp_path, [(((-3.0, 0.25), (1.0, 0.75)), 40)])
+        code, out, _ = run(capsys, ["verify", "--model", path, "--b", "1.5", "--grid", "0:0:1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["curvature_condition"]["holds"] is True
+        checks = {c["name"]: c for c in payload["inequalities"]}
+        assert checks["tilted_mean_two_sided"]["holds"] is True
+
     def test_rademacher_passes(self, capsys, rad_file):
         code, out, _ = run(capsys, ["verify", "--model", rad_file])
         assert code == 0

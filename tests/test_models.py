@@ -22,6 +22,7 @@ from sharptail import (
     rademacher_model,
 )
 from sharptail.errors import ModelError, ParameterError
+from sharptail.models import default_lambda_grid
 
 from conftest import bounded_dists, sum_models
 
@@ -167,6 +168,14 @@ class TestCurvatureCondition:
         m = SumModel(((SKEWED, 10),))
         assert curvature_condition_from_moments(m, m.b_ratio)
         assert not curvature_condition_from_moments(m, m.b_ratio * 0.9)
+
+    @pytest.mark.parametrize("B", [math.inf, math.nan, 0.0, -1.0])
+    def test_b_not_positive_and_finite(self, B):
+        # 10 / inf = 0 ended numpy's geometric grid with a ValueError
+        with pytest.raises(ParameterError, match="B must be positive and finite"):
+            default_lambda_grid(B)
+        with pytest.raises(ParameterError, match="B must be positive and finite"):
+            check_curvature_condition(rademacher_model(3), B)
 
     @given(sum_models())
     @settings(max_examples=100, deadline=None)

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from sharptail import (
     C3_UNIVERSAL,
@@ -33,6 +36,7 @@ from sharptail import (
 )
 from sharptail.classical import SQRT_2PI, SQRT_PI
 from sharptail.errors import HypothesisError, ParameterError, RangeError
+from sharptail.sharp import BOUNDS
 from sharptail.tilting import tilt
 
 from conftest import FIVE_ATOM
@@ -157,8 +161,12 @@ class TestThirdMomentInterval:
 
     def test_b_override_must_dominate_ratio(self):
         m = rademacher_model(100)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match=r"^B = 0\.5 is below the third-moment ratio 1$"):
             third_moment_interval(m, 0.1, B=0.5)
+        with pytest.raises(HypothesisError):
+            third_moment_interval(m, 0.1, B=1 - 2**-30)
+        # within the relative hypothesis tolerance of the ratio
+        assert third_moment_interval(m, 0.1, B=1 - 2**-44).valid
         iv = third_moment_interval(m, 0.1, B=2.0)  # larger B stays valid, wider
         assert iv.band > third_moment_interval(m, 0.1).band
 
@@ -327,3 +335,37 @@ def test_nan_or_bad_tilt_is_a_parameter_error(call, names):
         call()
     assert type(info.value) is ParameterError
     assert str(info.value).startswith(f"{names} must be") or f"requires {names}" in str(info.value)
+
+
+_INTERVAL_AT = {
+    "expansion": lambda m, x: expansion_interval(m, x, m.b_ratio),
+    "saddlepoint": saddlepoint_interval,
+    "third_moment": third_moment_interval,
+    "two_sided": two_sided_interval,
+}
+
+
+@given(hst.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]), hst.floats(0.0, 5.0),
+       hst.sampled_from(sorted(_INTERVAL_AT)), hst.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_two_point_extremal_family_on_both_sides_of_a_jump(v, log10_n, name, u):
+    """n copies of {1, -v}, the laws for which Hoeffding's and Bennett's
+    bounds are tight, are where the intervals are tightest.  The strict tail
+    drops at each support point s: x = s/sigma reads it past s, one float
+    below reads it with s's mass, and the interval must hold at rtol 1e-12
+    on both sides wherever it is valid.  Points whose tail is below the
+    smallest normal double are skipped: the exact lattice holds them only as
+    subnormals or 0 until deep tails are read off a tilted lattice."""
+    model = extremal_model(v, int(10.0**log10_n))
+    lat, sigma = build_lattice(model), model.sigma
+    end = BOUNDS[name].limit(model, model.b_ratio) * sigma
+    at_or_above = np.cumsum(lat.masses[::-1])[::-1]  # screens out underflowed points
+    points = lat.values[(lat.values >= 0) & (lat.values <= end) & (lat.values < model.max_support)
+                        & (at_or_above >= sys.float_info.min)]
+    assume(points.size > 0)
+    x = float(points[int(u * points.size)]) / sigma
+    for xs in (x, math.nextafter(x, 0.0)) if x > 0 else (x,):
+        p = lat.tail(xs * sigma, strict=True)
+        iv = _INTERVAL_AT[name](model, xs)
+        if p >= sys.float_info.min and iv.valid:
+            assert iv.lower <= p * (1 + 1e-12) and p <= iv.upper * (1 + 1e-12), (xs, p, iv)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as hst
 
 from sharptail import (
@@ -28,9 +28,10 @@ import sharptail
 from sharptail import oracle, tilting
 from sharptail._normal import ndtr
 from sharptail._tiltmath import packed_cumulants, tilted_stats
-from sharptail.errors import NumericalError, ParameterError
+from sharptail.errors import ModelError, NumericalError, ParameterError
+from sharptail.models import curvature_condition_from_moments
 
-from conftest import random_model, sum_models
+from conftest import bounded_dists, random_model, sum_models
 from golden import capture
 
 SKEWED = DiscreteDistribution(((1.0, 0.2), (-0.25, 0.8)))
@@ -159,6 +160,36 @@ class TestInequalitySuite:
                 assert "reason" in row
             else:
                 assert {"name", "holds", "worst_margin", "worst_lambda"} <= set(row)
+
+    @given(bounded_dists(), hst.integers(1, 50), hst.sampled_from(["a_max", "b_ratio"]),
+           hst.sampled_from([1 - 2**-14, 1 - 2**-40, 1.0, 1 + 2**-40, 1 + 2**-14]),
+           hst.integers(-40, 40))
+    @example(DiscreteDistribution(((1.0, 0.2), (-0.25, 0.8))), 40, "a_max", 1 - 2**-14, -30)
+    @settings(max_examples=150, deadline=None)
+    def test_gates_are_scale_free(self, dist, n, anchor, factor, k):
+        # scaling the atoms and B by 2^k is exact, and every hypothesis
+        # tolerance is relative, so each gate decides the same at every scale.
+        # The curvature grid's first tilt, 1e-6, does not scale, so the two
+        # curvature checks are compared where the moment criterion decides.
+        try:
+            scaled = DiscreteDistribution(tuple((v * 2.0**k, p) for v, p in dist.atoms))
+        except ModelError:  # the scaled mean's rounding error exceeds MEAN_TOL
+            reject()
+        unit, wide = SumModel(((dist, n),)), SumModel(((scaled, n),))
+        B = getattr(unit, anchor) * factor
+        rep, rep_k = inequality_suite(unit, B), inequality_suite(wide, B * 2.0**k)
+        names = ["mgf_gaussian", "tilted_variance_lower", "cumulant_gaussian"]
+        if curvature_condition_from_moments(unit, B):
+            names += ["tilted_mean_two_sided", "tilted_variance_two_sided"]
+        for name in names:
+            assert rep[name].applicable == rep_k[name].applicable, name
+
+    def test_infinite_b_still_reports(self):
+        # every hypothesis holds at B = inf: the third-moment ratio decides
+        # the curvature condition before the grid check, which refuses B = inf
+        rep = inequality_suite(SumModel(((SKEWED, 5),)), math.inf)
+        assert rep.all_hold
+        assert rep["tilted_mean_two_sided"].reason == "overflows float64 on this lambda grid"
 
     def test_random_models_no_violation(self):
         rng = np.random.default_rng(321)
