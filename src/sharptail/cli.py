@@ -265,7 +265,8 @@ def cmd_ratio(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-#: tilts at which `verify` checks the normal approximation of the tilted sum
+#: tilts at which `verify` checks the normal approximation of the tilted
+#: sum, in units of 1/a_max: lam * a_max takes these values
 _NORMAL_APPROX_TILTS = (0.0, 0.05, 0.1)
 #: points of each containment grid, from x = 0 to the bound's check end
 _CONTAINMENT_POINTS = 25
@@ -293,7 +294,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
         report["ok"] = not failures
         return report
 
-    approx = [berry_esseen_tilted(model, lam, delta) for lam in _NORMAL_APPROX_TILTS]
+    approx = [berry_esseen_tilted(model, t / model.a_max, delta) for t in _NORMAL_APPROX_TILTS]
     report["normal_approx"] = [rep.to_dict() for rep in approx]
     failures = failures or any(rep.holds is False for rep in approx)  # None: skipped
 

@@ -20,11 +20,24 @@ import numpy as np
 
 from .errors import ModelError, ParameterError
 
+#: largest |mean| a law may have, in units of its scale (see `law_scale`)
 MEAN_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
 #: relative slack on every hypothesis check: a constant that meets its cap up
 #: to rounding still satisfies the hypothesis, at any scale of the atoms
 HYP_TOL = 1e-12
+
+
+def law_scale(values) -> float:
+    """The unit of a law's atoms: the power of two s with s <= max|v| < 2s.
+
+    The mean gate, the lattice snap and the saddlepoint residual gate read
+    it; the curvature grid and `verify`'s tilts read B and a_max, which
+    scale with the atoms too.  Scaling by a power of two is exact, so
+    multiplying every atom (and B) by 2^k changes no decision and no bit of
+    the exact tails or Chernoff bounds, and scales the saddlepoints by 2^-k.
+    """
+    return math.ldexp(1.0, math.frexp(max(abs(float(v)) for v in values))[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -60,12 +73,18 @@ class DiscreteDistribution:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ModelError(f"probabilities sum to {total:.17g}, not 1")
         mean = math.fsum(v * p for v, p in canon)
-        if abs(mean) > MEAN_TOL:
+        scale = law_scale(values)
+        if abs(mean) > MEAN_TOL * scale:
             raise ModelError(
                 f"mean is {mean:.3e}; atoms must be centered (inputs are never auto-centered)"
             )
-        if values[0] > 0.0 or values[-1] < 0.0:
-            raise ModelError("support must satisfy lower <= 0 <= upper")
+        # a centered law with two distinct atoms has atoms on both sides of 0
+        if not values[0] < 0.0 < values[-1]:
+            raise ModelError("support must satisfy lower < 0 < upper")
+        # from 2^512 on an atom squares to inf
+        variance = math.inf if scale >= 2.0**512 else self.variance
+        if not 0.0 < variance < math.inf:
+            raise ModelError(f"variance is {variance:.3e}; it must be positive and finite")
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -135,6 +154,8 @@ class SumModel:
         if not comps:
             raise ModelError("model needs at least one component")
         object.__setattr__(self, "components", tuple(comps))
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ModelError(f"sigma^2 is {self.sigma2:.3e}; it must be positive and finite")
 
     @cached_property
     def n(self) -> int:
@@ -250,10 +271,12 @@ class CurvatureReport:
 
 
 def default_lambda_grid(B: float) -> np.ndarray:
-    """0 plus 200 log-spaced tilts in [1e-6, 10/B]."""
+    """0 plus 200 tilts log-spaced in B lam from 1e-6 to 10: the grid is in
+    units of 1/B, so scaling the atoms and B by 2^k scales it by 2^-k,
+    exactly."""
     if not 0 < B < math.inf:
         raise ParameterError(f"B must be positive and finite, got {B}")
-    return np.concatenate(([0.0], np.geomspace(1e-6, 10.0 / B, 200)))
+    return np.concatenate(([0.0], np.geomspace(1e-6, 10.0, 200) / B))
 
 
 def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:

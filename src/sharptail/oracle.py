@@ -1,11 +1,15 @@
 """Ground truth: exact lattice tails, Monte-Carlo estimators, and the
 log-concave tail hull.
 
-The exact oracle puts every atom on a common rational grid 1/D (denominators
-capped at 1e6; values that do not fit are rounded and the rounding is
-reported, never hidden).  Each block's offsets start at 0 and are divided by
-the gcd g of all the blocks' offsets, so the sum lives on the points
-(base + g k) / D, and only `LatticeDistribution` maps an index to a point.
+The exact oracle puts every atom on a common rational grid 1/D.  An atom is
+s p/q, q <= 1e6, in its law's unit s (`sharptail.models.law_scale`) when
+that rounds back to it, so scaling a law by 2^k scales its rationals by
+2^k; else the nearest fraction with denominator <= 1e6 when that rounds
+back, so every atom an absolute grid of 1e-6 makes exact stays exact; else
+it is rounded, and the rounding is reported, never hidden.  Each block's
+offsets start at 0 and are divided by the gcd g of all the blocks' offsets,
+so the sum lives on the points (base + g k) / D, and only
+`LatticeDistribution` maps an index to a point.
 The component mass vectors are convolved on that lattice: a two-atom block
 of multiplicity m is a binomial on the stride of its span, its m + 1 masses
 from the ratio recurrence in O(m); blocks with more atoms are folded in one
@@ -45,11 +49,12 @@ import numpy as np
 
 from ._tiltmath import tilted_stats
 from .errors import ParameterError, UnsupportedModelError
-from .models import SumModel, hoeffding_extremal
+from .models import SumModel, hoeffding_extremal, law_scale
 from .rate import solve_target
 from .sharp import BENTKUS
 
-#: largest denominator used when snapping atom values to a rational grid
+#: largest denominator used when snapping atom values, or their ratios to
+#: their law's unit, to a rational grid
 DENOMINATOR_CAP = 10**6
 
 #: hard cap on the convolved lattice length
@@ -215,25 +220,38 @@ def _rationalize(value: float) -> Fraction:
     return Fraction(value).limit_denominator(DENOMINATOR_CAP)
 
 
+def _snap(values: list[float]) -> list[Fraction]:
+    """A law's atoms as rationals: s p/q for the law's unit s and the nearest
+    p/q to v / s (exact: s is a power of two) where it rounds back to the
+    atom, else the nearest fraction with denominator <= DENOMINATOR_CAP."""
+    unit = law_scale(values)
+    row = []
+    for v in values:
+        f = _rationalize(v / unit)
+        if unit != 1.0:
+            f *= Fraction(unit)
+        row.append(f if float(f) == v else _rationalize(v))
+    return row
+
+
 def _lattice_layout(raw_components):
     """The sum's lattice (denominator, base, stride) and its blocks'
     (offsets, probs, mult) for [(values, probs, mult), ...], with the snap.
 
-    Atoms are snapped to a common denominator D.  Each block's offsets are
-    shifted to start at 0 and divided by the gcd g of all the blocks'
-    offsets, so the sum lives on (base + g k) / D, base / D being the sum of
-    m_i lo_i.  Blocks come in fold order, which fixes the roundings: small
-    spans first, then by atoms and probabilities.
+    Atoms are snapped by `_snap` to a common denominator D.  Each block's
+    offsets are shifted to start at 0 and divided by the gcd g of all the
+    blocks' offsets, so the sum lives on (base + g k) / D, base / D being
+    the sum of m_i lo_i.  Blocks come in fold order, which fixes the
+    roundings: small spans first, then by atoms and probabilities.
     """
     denom = 1
     fracs = []
     quant = 0.0
     for values, _, _ in raw_components:
-        row = []
-        for v in values:
-            f = _rationalize(float(v))
-            quant = max(quant, abs(float(f) - float(v)))
-            row.append(f)
+        values = values.tolist()
+        row = _snap(values)
+        for f, v in zip(row, values):
+            quant = max(quant, abs(float(f) - v))
             denom = denom * f.denominator // math.gcd(denom, f.denominator)
         fracs.append(row)
     nums = [[int(f * denom) for f in row] for row in fracs]
@@ -251,8 +269,9 @@ def convolve_repeat(masses, offsets, probs, times):
     """Convolve `masses` with the atom kernel (offsets, probs) `times` times.
 
     offsets must be sorted ascending with offsets[0] == 0; the result has
-    length len(masses) + offsets[-1] * times.  Each fold is one shifted-slice
-    add per atom, a plain float64 accumulation of non-negative terms.
+    length len(masses) + offsets[-1] * times.  Each fold writes the first
+    atom's term and adds each other atom's as one shifted slice, a plain
+    float64 accumulation of non-negative terms.
     """
     masses = np.asarray(masses, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64).tolist()
@@ -262,15 +281,19 @@ def convolve_repeat(masses, offsets, probs, times):
     span = offsets[-1]
     length = masses.shape[0]
     final = length + span * times
-    cur = np.zeros(final, dtype=np.float64)
-    nxt = np.zeros(final, dtype=np.float64)
+    cur = np.empty(final, dtype=np.float64)
+    nxt = np.empty(final, dtype=np.float64)
+    term = np.empty(final, dtype=np.float64)
     cur[:length] = masses
     for _ in range(times):
         out_len = length + span
-        nxt[:out_len] = 0.0
         src = cur[:length]
-        for off, p in zip(offsets, probs):
-            nxt[off:off + length] += p * src
+        np.multiply(src, probs[0], out=nxt[:length])
+        nxt[length:out_len] = 0.0
+        prod = term[:length]
+        for off, p in zip(offsets[1:], probs[1:]):
+            np.multiply(src, p, out=prod)
+            nxt[off:off + length] += prod
         cur, nxt = nxt, cur
         length = out_len
     return cur[:length].copy()
@@ -302,14 +325,19 @@ def _fold_strided(masses: np.ndarray, weights: np.ndarray, stride: int) -> np.nd
     """Convolve `masses` with `weights` laid every `stride` lattice points."""
     n, m = len(masses), len(weights)
     width = (m - 1) * stride
-    out = np.zeros(n + width)
     # one vector add per element of the shorter operand
     if m <= n:
-        for k, w in enumerate(weights):
-            out[k * stride:k * stride + n] += w * masses
-    else:
-        for i, v in enumerate(masses):
-            out[i:i + width + 1:stride] += v * weights
+        out = np.empty(n + width)
+        np.multiply(masses, weights[0], out=out[:n])
+        out[n:] = 0.0
+        term = np.empty(n)
+        for k, w in enumerate(weights[1:].tolist(), 1):
+            np.multiply(masses, w, out=term)
+            out[k * stride:k * stride + n] += term
+        return out
+    out = np.zeros(n + width)
+    for i, v in enumerate(masses):
+        out[i:i + width + 1:stride] += v * weights
     return out
 
 

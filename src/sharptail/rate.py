@@ -24,14 +24,15 @@ import numpy as np
 
 from ._tiltmath import packed_cumulants
 from .errors import NoSaddlepointError, ParameterError
-from .models import SumModel
+from .models import SumModel, law_scale
 
-#: relative tolerance on cum'(lam) at the returned saddlepoint
+#: tolerance on cum'(lam) at the returned saddlepoint, relative to the larger
+#: of the threshold and the atoms' unit (`sharptail.models.law_scale`)
 ROOT_RTOL = 1e-12
 
 #: the gate never goes below this many units of eps * sum_i m_i max|xi_i|,
 #: the rounding noise of cum' itself (a sum of that many like-scaled terms),
-#: which exceeds ROOT_RTOL below t = 1 on large wide models
+#: which exceeds ROOT_RTOL for small thresholds on large wide models
 _NOISE_ULPS = 4.0
 
 #: beyond lam = 700 / a_max the tilt saturates in float64
@@ -136,8 +137,9 @@ def _solve_into(model: SumModel, targets: list[float], record: dict) -> None:
         if not keep.any():
             return
         t, lam, cums = t[keep], lam[keep], cums[:, keep]
-    noise = _NOISE_ULPS * _EPS * float(mults @ np.abs(values).max(axis=1))
-    tol = np.maximum(ROOT_RTOL * np.maximum(1.0, t), noise)
+    tops = np.abs(values).max(axis=1)
+    noise = _NOISE_ULPS * _EPS * float(mults @ tops)
+    tol = np.maximum(ROOT_RTOL * np.maximum(law_scale(tops.tolist()), t), noise)
     lo = np.zeros_like(t)
     hi = np.full_like(t, lam_cap)
     # |Newton step| / lam that led to lam, inf if none.  A target within

@@ -24,6 +24,7 @@ from sharptail import (
 )
 from sharptail.cli import main
 from sharptail.sharp import BOUNDS
+from sharptail.tilting import berry_esseen_tilted
 
 from conftest import FIVE_ATOM, _centered_dist
 
@@ -643,18 +644,45 @@ _WIDE_P = 0.5 / 8000.5
      0.1, "null"),
 ])
 def test_verify_wide_atoms(capsys, tmp_path, components, lam, entry):
+    # at an absolute tilt, a wide model's tilted law degenerates: the moment
+    # bound overflows (null) or the tilted variance underflows (skipped)
+    model = SumModel(tuple((DiscreteDistribution(atoms), m) for atoms, m in components))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = berry_esseen_tilted(model, lam).to_dict()
+    if entry == "skipped":
+        assert row == {"lam": lam, "skipped": True, "reason":
+                       "the tilted variance is not positive and finite at this lambda"}
+    else:
+        assert row["holds"] is True
+        assert row["moment_bound"] is None and row["bound"] is None
+    # `verify` tilts in units of 1/a_max, so it checks none of these
     path = _model_file(tmp_path, components)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, ["verify", "--model", path])
     assert (code, err) == (0, "")
-    rows = {r["lam"]: r for r in _strict_json(out)["normal_approx"]}
-    if entry == "skipped":
-        assert rows[lam] == {"lam": lam, "skipped": True, "reason":
-                             "the tilted variance is not positive and finite at this lambda"}
-    else:
-        assert rows[lam]["holds"] is True
-        assert rows[lam]["moment_bound"] is None and rows[lam]["bound"] is None
+    rows = _strict_json(out)["normal_approx"]
+    assert [r["lam"] for r in rows] == [t / model.a_max for t in (0.0, 0.05, 0.1)]
+    for r in rows:
+        assert r["holds"] is True and r["bound"] is not None, r
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x-grid", "0:3:4"],
+    ["verify"],
+    ["rate", "--y-grid", "0:0.5:3"],
+    ["mc", "--x", "1"],
+], ids=lambda argv: argv[0])
+def test_zero_variance_exit_2(capsys, tmp_path, argv):
+    # FIVE_ATOM x 2^-560: each atom squares to 0, so the variance is 0 and
+    # sigma would be 0 (mc read P(S > 0), verify divided by zero)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"components": [
+        {"atoms": [[v * 2.0**-560, p] for v, p in FIVE_ATOM.atoms], "multiplicity": 100}]}))
+    code, out, err = run(capsys, [*argv, "--model", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: components[0]: variance is 0.000e+00; it must be positive and finite\n"
 
 
 class TestVerifyCommand:

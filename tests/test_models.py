@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sharptail import (
     rademacher_model,
 )
 from sharptail.errors import ModelError, ParameterError
-from sharptail.models import default_lambda_grid
+from sharptail.models import default_lambda_grid, law_scale
 
 from conftest import bounded_dists, sum_models
 
@@ -58,6 +59,32 @@ class TestDiscreteDistribution:
     def test_variance(self):
         assert rademacher().variance == 1.0
         assert SKEWED.variance == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-30, 0, 20, 40])
+    def test_mean_gate_reads_the_scale(self, k):
+        # recentred exactly, {-0.6, 0.2, 0.8} with weights 9:7:5 has a float
+        # mean of 1.4e-17; at 2^20 that is 1.5e-11, past an absolute 1e-12
+        atoms = ((-0.6 * 2.0**k, 9 / 21), (0.2 * 2.0**k, 7 / 21), (0.8 * 2.0**k, 5 / 21))
+        assert law_scale([v for v, _ in atoms]) == 2.0**k * 0.5
+        assert DiscreteDistribution(atoms).variance > 0
+        with pytest.raises(ModelError, match="never auto-centered"):
+            DiscreteDistribution(((-0.6 * 2.0**k, 9 / 21 - 1e-11), (0.2 * 2.0**k, 7 / 21),
+                                  (0.8 * 2.0**k, 5 / 21 + 1e-11)))
+
+    def test_law_scale_is_a_power_of_two(self):
+        assert [law_scale(v) for v in ([-1.0, 1.0], [-0.75, 1.5], [3.0, -4.0], [5e-324, -1e-323])] \
+            == [1.0, 1.0, 4.0, 1e-323]
+
+    def test_rejects_one_sided_support(self):
+        # off-center by 1e-13, inside the mean gate, but never centered
+        with pytest.raises(ModelError, match="lower < 0 < upper"):
+            DiscreteDistribution(((-1.0, 1e-13), (0.0, 1 - 1e-13)))
+
+    @pytest.mark.parametrize("scale,variance", [(2.0**-560, "0.000e+00"), (1e200, "inf")])
+    def test_rejects_variance_not_positive_and_finite(self, scale, variance):
+        # 2^-560 squares to 0; 1e200 squares to inf
+        with pytest.raises(ModelError, match=re.escape(f"variance is {variance}; it must be")):
+            DiscreteDistribution(((-scale, 0.5), (scale, 0.5)))
 
 
 class TestAbsMoment:
@@ -127,6 +154,11 @@ class TestSumModel:
         with pytest.raises(ModelError):
             SumModel(())
 
+    def test_rejects_infinite_sigma2(self):
+        wide = DiscreteDistribution(((-1e154, 0.5), (1e154, 0.5)))  # variance 1e308
+        with pytest.raises(ModelError, match="sigma\\^2 is inf; it must be positive and finite"):
+            SumModel(((wide, 2),))
+
 
 class TestMomentProfile:
     def test_rademacher(self):
@@ -176,6 +208,16 @@ class TestCurvatureCondition:
             default_lambda_grid(B)
         with pytest.raises(ParameterError, match="B must be positive and finite"):
             check_curvature_condition(rademacher_model(3), B)
+
+    @pytest.mark.parametrize("B", [2.0**-30, 0.75, 1.0, 3.0, 1e9, 2.0**60])
+    def test_default_grid_is_in_units_of_one_over_b(self, B):
+        # B lam runs from 1e-6 to 10 whatever B, so it never runs backwards
+        grid = default_lambda_grid(B)
+        assert grid[0] == 0.0 and grid.size == 201
+        assert np.all(np.diff(grid) > 0)
+        assert grid[-1] == 10.0 / B
+        if math.frexp(B)[0] == 0.5:  # a power of two scales the grid exactly
+            assert (grid * B).tolist() == default_lambda_grid(1.0).tolist()
 
     @given(sum_models())
     @settings(max_examples=100, deadline=None)

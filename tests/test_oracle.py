@@ -47,6 +47,7 @@ from sharptail.oracle import (
     _rationalize,
     _relative_weights,
     _sample_sums,
+    _snap,
     _WeightStats,
     build_tilted_lattice,
     convolve_repeat,
@@ -216,6 +217,24 @@ class TestExactTail:
         d = DiscreteDistribution(((a, 0.5), (-a, 0.5)))
         lat = build_lattice(SumModel(((d, 3),)))
         assert 0.0 < lat.quantization_error < 1e-11
+
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_snap_reads_the_law_scale(self, k):
+        # an absolute grid of 10^-6 moved the atoms of FIVE_ATOM x 2^-20 by up
+        # to half their size (201 points); in the law's unit they are exact
+        d = DiscreteDistribution(tuple((v * 2.0**k, p) for v, p in FIVE_ATOM.atoms))
+        m = SumModel(((d, 100),))
+        lat = build_lattice(m)
+        assert (len(lat), lat.quantization_error) == (3501, 0.0)
+        assert [lat.tail(x * m.sigma) for x in (1, 2, 3)] == [
+            0.15963717789325368, 0.024084618351186787, 0.0016115719661303665]
+
+    def test_snap_keeps_absolute_fractions(self):
+        # 20000.01 is no p/q in its unit 2^14 (q <= 10^6), but is 2000001/100;
+        # 2^-40 / 3 is no fraction on the absolute grid, but is 1/6 in its unit
+        assert _snap([-20000.01, 0.5]) == [Fraction(-2000001, 100), Fraction(1, 2)]
+        assert _snap([-3.0 * 2.0**-40, 2.0**-40 / 3]) == [
+            Fraction(-3, 2**40), Fraction(1, 3 * 2**40)]
 
 
 @hst.composite

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from sharptail import (
@@ -28,8 +28,7 @@ import sharptail
 from sharptail import oracle, tilting
 from sharptail._normal import ndtr
 from sharptail._tiltmath import packed_cumulants, tilted_stats
-from sharptail.errors import ModelError, NumericalError, ParameterError
-from sharptail.models import curvature_condition_from_moments
+from sharptail.errors import NumericalError, ParameterError
 
 from conftest import bounded_dists, random_model, sum_models
 from golden import capture
@@ -167,21 +166,15 @@ class TestInequalitySuite:
     @example(DiscreteDistribution(((1.0, 0.2), (-0.25, 0.8))), 40, "a_max", 1 - 2**-14, -30)
     @settings(max_examples=150, deadline=None)
     def test_gates_are_scale_free(self, dist, n, anchor, factor, k):
-        # scaling the atoms and B by 2^k is exact, and every hypothesis
-        # tolerance is relative, so each gate decides the same at every scale.
-        # The curvature grid's first tilt, 1e-6, does not scale, so the two
-        # curvature checks are compared where the moment criterion decides.
-        try:
-            scaled = DiscreteDistribution(tuple((v * 2.0**k, p) for v, p in dist.atoms))
-        except ModelError:  # the scaled mean's rounding error exceeds MEAN_TOL
-            reject()
+        # scaling the atoms and B by 2^k is exact, every hypothesis tolerance
+        # is relative, and the mean gate and the curvature grid read the
+        # law's unit, so each gate decides the same at every scale
+        scaled = DiscreteDistribution(tuple((v * 2.0**k, p) for v, p in dist.atoms))
         unit, wide = SumModel(((dist, n),)), SumModel(((scaled, n),))
         B = getattr(unit, anchor) * factor
         rep, rep_k = inequality_suite(unit, B), inequality_suite(wide, B * 2.0**k)
-        names = ["mgf_gaussian", "tilted_variance_lower", "cumulant_gaussian"]
-        if curvature_condition_from_moments(unit, B):
-            names += ["tilted_mean_two_sided", "tilted_variance_two_sided"]
-        for name in names:
+        for name in ["mgf_gaussian", "tilted_variance_lower", "cumulant_gaussian",
+                     "tilted_mean_two_sided", "tilted_variance_two_sided"]:
             assert rep[name].applicable == rep_k[name].applicable, name
 
     def test_infinite_b_still_reports(self):
