@@ -33,7 +33,6 @@ from .oracle import build_lattice, mc_tail, tilted_mc_tail
 from .rate import chernoff_bound, fenchel_legendre, solve_target, solve_targets
 from .sharp import (
     BOUNDS,
-    C3_UNIVERSAL,
     SharpInterval,
     expansion_interval,
     normal_tail_upper,
@@ -59,22 +58,24 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_VERIFY = 4
 
-#: column -> its cell at x, from the model and the parsed `bounds` flags: a
-#: number, or a SharpInterval for the four interval columns
+#: most points a grid or `ratio --points` may ask for; more are refused unbuilt
+MAX_GRID_POINTS = 100_000
+
+#: column -> its cell at (model, x, B, delta, strict), from the resolved
+#: constants: a number, or a SharpInterval for the four interval columns
 _COLUMNS = {
-    "exact": lambda m, x, a: build_lattice(m).tail(x * m.sigma, not a.nonstrict),
-    "hoeffding": lambda m, x, a: hoeffding_bound(x, m.sigma, m.n),
-    "bennett": lambda m, x, a: bennett_bound(x, m.sigma),
-    "bernstein": lambda m, x, a: bernstein_bound(x, m.sigma),
-    "chernoff": lambda m, x, a: chernoff_bound(m, x),
-    "mills": lambda m, x, a: mills_ratio(x),
-    "expansion": lambda m, x, a: expansion_interval(
-        m, x, m.b_ratio if a.b is None else a.b, a.delta, a.c3),
-    "saddlepoint": lambda m, x, a: saddlepoint_interval(m, x, a.delta, a.c3),
-    "third_moment": lambda m, x, a: third_moment_interval(m, x),
-    "two_sided": lambda m, x, a: two_sided_interval(m, x),
-    "normal_shape": lambda m, x, a: normal_tail_upper(m, x),
-    "subgaussian": lambda m, x, a: subgaussian_upper(m, x, a.c3),
+    "exact": lambda m, x, B, delta, strict: build_lattice(m).tail(x * m.sigma, strict),
+    "hoeffding": lambda m, x, *_: hoeffding_bound(x, m.sigma, m.n),
+    "bennett": lambda m, x, *_: bennett_bound(x, m.sigma),
+    "bernstein": lambda m, x, *_: bernstein_bound(x, m.sigma),
+    "chernoff": lambda m, x, *_: chernoff_bound(m, x),
+    "mills": lambda m, x, *_: mills_ratio(x),
+    "expansion": lambda m, x, B, delta, strict: expansion_interval(m, x, B, delta),
+    "saddlepoint": lambda m, x, B, delta, strict: saddlepoint_interval(m, x, delta),
+    "third_moment": lambda m, x, *_: third_moment_interval(m, x),
+    "two_sided": lambda m, x, *_: two_sided_interval(m, x),
+    "normal_shape": lambda m, x, *_: normal_tail_upper(m, x),
+    "subgaussian": lambda m, x, *_: subgaussian_upper(m, x),
 }
 
 ALL_BOUNDS = tuple(_COLUMNS)
@@ -107,8 +108,8 @@ def _parse_grid(text: str) -> list[float]:
         a, b, steps = float(a), float(b), int(steps)
     except ValueError:
         raise ParameterError(f"grid must be 'a:b:steps', got {text!r}") from None
-    if not (math.isfinite(a) and math.isfinite(b)) or steps < 1 or b < a:
-        raise ParameterError(f"bad grid {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b and 1 <= steps <= MAX_GRID_POINTS):
+        raise ParameterError(f"bad grid {text!r}: needs finite a <= b and 1..{MAX_GRID_POINTS} steps")
     return np.linspace(a, b, steps).tolist()
 
 
@@ -133,11 +134,11 @@ def _emit_json(out, tag: str, header: list[str], rows):
 # bounds
 # ---------------------------------------------------------------------------
 
-def _cell(name, model, x, args):
+def _cell(name, model, x, B, delta, strict):
     """The column's value at x; None outside its range or past the
     essential sup."""
     try:
-        return _COLUMNS[name](model, x, args)
+        return _COLUMNS[name](model, x, B, delta, strict)
     except (RangeError, NoSaddlepointError):
         return None
 
@@ -150,22 +151,22 @@ def _interval_cells(iv: SharpInterval | None) -> list:
     return [None, None, iv.upper, False]
 
 
-def _check_constants(b: float | None, delta: float, c3: float = C3_UNIVERSAL) -> None:
-    """Reject --b, --delta or --c3 outside its domain, before any work."""
-    if b is not None and not 0.0 < b < math.inf:
-        raise ParameterError(f"--b must be positive and finite, got {b}")
-    if not 0.0 < delta <= 1.0:
-        raise ParameterError(f"--delta must lie in (0, 1], got {delta}")
-    if not 0.0 < c3 < math.inf:
-        raise ParameterError(f"--c3 must be positive and finite, got {c3}")
+def _load_with_constants(args):
+    """Check --b and --delta before any work; return the model and B (--b, else its ratio)."""
+    if args.b is not None and not 0.0 < args.b < math.inf:
+        raise ParameterError(f"--b must be positive and finite, got {args.b}")
+    if not 0.0 < args.delta <= 1.0:
+        raise ParameterError(f"--delta must lie in (0, 1], got {args.delta}")
+    model = load_model(args.model)
+    return model, model.b_ratio if args.b is None else args.b
 
 
 def cmd_bounds(args) -> int:
     """One cell rule for every column: a column whose model fails its
-    hypothesis (or, for `exact`, has no lattice) is an error when named and
-    blank under `all`; a cell out of range or past the essential sup is blank."""
-    _check_constants(args.b, args.delta, args.c3)
-    model = load_model(args.model)
+    hypotheses, decided once (the curvature condition at --b among them), or
+    (for `exact`) has no lattice is an error when named and blank under
+    `all`; a cell out of range or past the essential sup is blank."""
+    model, B = _load_with_constants(args)
     xs = _parse_grid(args.x_grid)
     selected = ALL_BOUNDS if args.bounds == "all" else tuple(args.bounds.split(","))
     for name in selected:
@@ -175,7 +176,7 @@ def cmd_bounds(args) -> int:
 
     blank = set()
     for name in selected:
-        reason = BOUNDS[name].violation(model) if name in BOUNDS else None
+        reason = BOUNDS[name].violation_at(model, B, None) if name in BOUNDS else None
         if reason is not None:
             if explicit:
                 raise HypothesisError(f"{name} {reason}")
@@ -204,7 +205,8 @@ def cmd_bounds(args) -> int:
     for x in xs:
         row = [float(x)]
         for name in selected:
-            value = None if name in blank else _cell(name, model, x, args)
+            value = None if name in blank else _cell(
+                name, model, x, B, args.delta, not args.nonstrict)
             if name in _INTERVALS:
                 row += _interval_cells(value)
             else:
@@ -248,8 +250,8 @@ def cmd_ratio(args) -> int:
             f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     if any(n < 1 for n in n_list):
         raise ParameterError("all n must be >= 1")
-    if args.points < 1:
-        raise ParameterError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_GRID_POINTS:
+        raise ParameterError(f"--points must lie in [1, {MAX_GRID_POINTS}], got {args.points}")
     if not math.isfinite(args.x_max):
         raise ParameterError(f"--x-max must be finite, got {args.x_max}")
     if args.x_max < 0:
@@ -298,10 +300,9 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
     report["normal_approx"] = [rep.to_dict() for rep in approx]
     failures = failures or any(rep.holds is False for rep in approx)  # None: skipped
 
-    flags = argparse.Namespace(b=B, delta=delta, c3=C3_UNIVERSAL)
     checks, grids = [], {}
     for name in ("expansion", "third_moment", "two_sided", "saddlepoint"):
-        reason = BOUNDS[name].violation(model)
+        reason = BOUNDS[name].violation_at(model, B, lambda_grid)
         if reason is not None:
             checks.append({"name": name, "skipped": True, "reason": reason})
         else:
@@ -313,7 +314,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
         worst = math.inf
         ok = True
         for x in xs:
-            iv = _cell(name, model, x, flags)
+            iv = _cell(name, model, x, B, delta, True)
             if iv is None or not iv.valid:
                 continue
             p = lattice.tail(x * model.sigma, strict=True)
@@ -328,9 +329,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
 
 
 def cmd_verify(args) -> int:
-    _check_constants(args.b, args.delta)
-    model = load_model(args.model)
-    B = args.b if args.b is not None else model.b_ratio
+    model, B = _load_with_constants(args)
     grid = _parse_grid(args.grid) if args.grid else None
     report = verify_report(model, B, args.delta, grid)
     json.dump(report, sys.stdout, indent=2, default=float)
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--bounds", default="all",
                    help=f"comma list from: {', '.join(ALL_BOUNDS)}")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
-    b.add_argument("--c3", type=float, default=C3_UNIVERSAL)
     b.add_argument("--delta", type=float, default=1.0)
     b.add_argument("--b", type=float, default=None,
                    help="curvature constant B (default: third-moment ratio)")

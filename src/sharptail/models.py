@@ -318,6 +318,12 @@ def curvature_condition_from_moments(model: SumModel, B: float) -> bool:
     return all(abs_moment(d, 3) <= B * d.variance * (1 + HYP_TOL) for d, _ in model.components)
 
 
+def curvature_holds(model: SumModel, B: float, lambda_grid) -> bool:
+    """The curvature condition at B: the ratio criterion, else the grid check."""
+    return (curvature_condition_from_moments(model, B)
+            or check_curvature_condition(model, B, lambda_grid).holds)
+
+
 def envelope_violations(model: SumModel, B: float, delta: float, lambda_grid):
     """violation(check): why an envelope check of `sharptail.tilting`, or its
     1.12/sigma_bar bound ("normal_approx"), fails its hypothesis at (B, delta),
@@ -328,7 +334,7 @@ def envelope_violations(model: SumModel, B: float, delta: float, lambda_grid):
         cap = np.float64(B) ** (2 + delta) * (1 + HYP_TOL)
     moment_B = cache(lambda: max(abs_moment(d, 2 + delta) for d, _ in model.components) <= cap)
     ratio = cache(lambda: curvature_condition_from_moments(model, B))
-    curvature = cache(lambda: ratio() or check_curvature_condition(model, B, lambda_grid).holds)
+    curvature = cache(lambda: curvature_holds(model, B, lambda_grid))
     reasons = {
         "mgf_two_point": lambda: support_violation(model, "upper"),
         "mgf_gaussian": lambda: None if upper_B and moment_B()

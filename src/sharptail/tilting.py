@@ -236,11 +236,10 @@ class NormalApproxReport:
         return out
 
 
-def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
-                        C: float = C3_UNIVERSAL) -> NormalApproxReport:
+def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0) -> NormalApproxReport:
     """Exact sup-distance of the standardized tilted sum from the normal CDF,
     against its Berry-Esseen-type bound: 1.12/sigma_bar when every
-    |xi_i| <= 1, else 2^(2+delta) C e^(B lam) sum E|xi_i|^(2+delta) /
+    |xi_i| <= 1, else 2^(2+delta) C3_UNIVERSAL e^(B lam) sum E|xi_i|^(2+delta) /
     sigma_bar^(2+delta) with B = a_max (the smallest valid support bound).
     A tilt whose sigma_bar is 0 (every tilted summand but one atom underflows)
     or not finite is skipped: nothing standardizes the sum there.
@@ -293,7 +292,7 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0,
     B = model.a_max
     try:
         moment_bound = (
-            2.0 ** (2 + delta) * C * math.exp(B * lam)
+            2.0 ** (2 + delta) * C3_UNIVERSAL * math.exp(B * lam)
             * model.abs_moment_sum(2 + delta) / sbar ** (2 + delta)
         )
     except (OverflowError, ZeroDivisionError):  # exp(B lam) or 1/sbar^(2+delta) overflows

@@ -149,7 +149,7 @@ def test_criterion_05_ratio_sweep():
 def test_criterion_06_constant_caps():
     xs = np.linspace(0.0, 0.1, 10**4)
     worst_two = max(two_sided_multiplier(x, 1.0) for x in xs)
-    worst_sub = max(subgaussian_multiplier(x, 1.0, 1.0, 0.56) for x in xs)
+    worst_sub = max(subgaussian_multiplier(x, 1.0, 1.0) for x in xs)
     report(6, "multiplier caps 3.08 and 32.47",
            worst_two <= 3.08 and worst_sub <= 32.47,
            f"two-sided max {worst_two:.5f}, sub-Gaussian max {worst_sub:.4f}")

@@ -1,10 +1,13 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -33,6 +36,15 @@ from conftest import FIVE_ATOM, _centered_dist
 def eta_file(tmp_path):
     path = tmp_path / "eta.json"
     path.write_text(json.dumps(model_to_dict(extremal_model(0.25, 50))))
+    return str(path)
+
+
+@pytest.fixture
+def neg_file(tmp_path):
+    """{-1 w.p. 0.2, 0.25 w.p. 0.8} x 400, whose ratio constant is 0.85."""
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(model_to_dict(
+        SumModel(((DiscreteDistribution(((-1.0, 0.2), (0.25, 0.8))), 400),)))))
     return str(path)
 
 
@@ -232,7 +244,6 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--b", "0"), ("--b", "-1"), ("--b", "nan"), ("--b", "inf"),
-        ("--c3", "-1"), ("--c3", "0"), ("--c3", "nan"), ("--c3", "inf"),
         ("--delta", "0"), ("--delta", "2"), ("--delta", "nan"), ("--delta", "-inf"),
     ])
     def test_bad_constant_exit_2_before_any_work(self, capsys, flag, value):
@@ -242,6 +253,59 @@ class TestBoundsCommand:
         ])
         assert (code, out) == (2, "")
         assert err.splitlines() == [err.strip()] and err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "0.56"])
+    def test_c3_flag_exit_2_before_any_work(self, capsys, value):
+        # the Berry-Esseen constant is the universal 0.56, not a flag: argparse
+        # refuses --c3, whatever its value, before the model file is read
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--model", "/nonexistent.json", "--x-grid", "0:1:2", f"--c3={value}"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"unrecognized arguments: --c3={value}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--bounds", "expansion"],
+        ["--bounds", "saddlepoint,expansion", "--format", "json"],
+    ])
+    def test_b_failing_curvature_named_exit_3(self, capsys, neg_file, argv):
+        # {-1 w.p. 0.2, 0.25 w.p. 0.8}: the curvature condition fails at
+        # B = 0.1, below the ratio constant 0.85, so a named expansion is refused
+        code, out, err = run(capsys, [
+            "bounds", "--model", neg_file, "--x-grid", "0:3:4", "--b", "0.1", *argv])
+        assert (code, out) == (3, "")
+        assert err == "hypothesis violation: expansion needs the curvature condition at B = 0.1\n"
+
+    def test_b_failing_curvature_blank_under_all(self, capsys, neg_file):
+        code, out, err = run(capsys, [
+            "bounds", "--model", neg_file, "--x-grid", "0:3:4", "--b", "0.1"])
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        for cells in rows:
+            row = dict(zip(header, cells))
+            assert [row[f"expansion_{k}"] for k in ("lower", "center", "upper", "valid")] \
+                == ["", "", "", "0"]
+            assert row["third_moment_valid"] in ("0", "1") and row["exact"]
+        # at B = 0.85, the ratio constant, the condition holds and the column fills
+        code, out, _ = run(capsys, [
+            "bounds", "--model", neg_file, "--x-grid", "0:3:4", "--b", "0.85"])
+        header, rows = parse_csv(out)
+        assert code == 0 and dict(zip(header, rows[1]))["expansion_valid"] == "1"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--model", "{model}", "--x-grid", "0:1:{n}"],
+        ["rate", "--model", "{model}", "--y-grid", "0:1:{n}"],
+        ["verify", "--model", "{model}", "--grid", "0:1:{n}"],
+        ["ratio", "--points", "{n}"],
+    ])
+    def test_grid_above_the_cap_exit_2_before_it_is_built(self, capsys, monkeypatch, rad_file, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid past the cap was built")
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        n = cli.MAX_GRID_POINTS + 1
+        code, out, err = run(capsys, [a.format(model=rad_file, n=n) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(cli.MAX_GRID_POINTS) in err
 
     @pytest.mark.parametrize("value", ["0", "inf", "nan"])
     def test_verify_bad_b_exit_2(self, capsys, rad_file, value):
@@ -290,7 +354,7 @@ def _parse_table(out, fmt):
     columns=hst.one_of(hst.just("all"), hst.lists(
         hst.sampled_from(cli.ALL_BOUNDS + ("nope", "")), min_size=1, max_size=4).map(",".join)),
     constants=hst.fixed_dictionaries({}, optional={
-        flag: hst.sampled_from(_ODD) for flag in ("--b", "--delta", "--c3")}),
+        flag: hst.sampled_from(_ODD) for flag in ("--b", "--delta")}),
     fmt=hst.sampled_from(["csv", "json"]),
     strict=hst.sampled_from(["--strict", "--nonstrict"]),
 )
@@ -697,6 +761,23 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in payload["inequalities"]}
         assert checks["tilted_mean_two_sided"]["holds"] is True
 
+    def test_b_failing_curvature_skips_expansion_exit_4(self, capsys, neg_file):
+        # B = 0.1 fails the curvature condition: expansion's containment is
+        # skipped with that reason, and the printed failure still exits 4
+        code, out, _ = run(capsys, ["verify", "--model", neg_file, "--b", "0.1"])
+        payload = json.loads(out)
+        assert (code, payload["ok"], payload["curvature_condition"]["holds"]) == (4, False, False)
+        contained = {c["name"]: c for c in payload["containment"]}
+        assert contained["expansion"] == {
+            "name": "expansion", "skipped": True,
+            "reason": "needs the curvature condition at B = 0.1"}
+        assert all(contained[name]["holds"] for name in ("third_moment", "two_sided", "saddlepoint"))
+        # with B defaulted to the ratio constant the condition holds and the model passes
+        code, out, _ = run(capsys, ["verify", "--model", neg_file])
+        payload = json.loads(out)
+        assert (code, payload["ok"]) == (0, True)
+        assert {c["name"]: c for c in payload["containment"]}["expansion"]["holds"] is True
+
     def test_rademacher_passes(self, capsys, rad_file):
         code, out, _ = run(capsys, ["verify", "--model", rad_file])
         assert code == 0
@@ -879,3 +960,22 @@ def test_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def _parser_flags(parser) -> set[str]:
+    """Every long option of `parser` and of its subcommands, but --help."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(s for s in action.option_strings if s.startswith("--") and s != "--help")
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_command_line_names_every_flag():
+    # README's "Command line" section and the parser define the same flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert documented == _parser_flags(cli.build_parser())

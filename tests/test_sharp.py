@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import sys
 
@@ -36,7 +38,7 @@ from sharptail import (
 )
 from sharptail.classical import SQRT_2PI, SQRT_PI
 from sharptail.errors import HypothesisError, ParameterError, RangeError
-from sharptail.sharp import BOUNDS
+from sharptail.sharp import BOUNDS, BoundSpec
 from sharptail.tilting import tilt
 
 from conftest import FIVE_ATOM
@@ -159,16 +161,12 @@ class TestThirdMomentInterval:
         # the relative band is exactly 16 B / (sigma Theta(x)): halves as sigma doubles
         assert ratios[-1] == pytest.approx(ratios[-2] / 2, rel=1e-12)
 
-    def test_b_override_must_dominate_ratio(self):
-        m = rademacher_model(100)
-        with pytest.raises(HypothesisError, match=r"^B = 0\.5 is below the third-moment ratio 1$"):
-            third_moment_interval(m, 0.1, B=0.5)
-        with pytest.raises(HypothesisError):
-            third_moment_interval(m, 0.1, B=1 - 2**-30)
-        # within the relative hypothesis tolerance of the ratio
-        assert third_moment_interval(m, 0.1, B=1 - 2**-44).valid
-        iv = third_moment_interval(m, 0.1, B=2.0)  # larger B stays valid, wider
-        assert iv.band > third_moment_interval(m, 0.1).band
+    def test_b_is_the_models_ratio_constant(self):
+        m = SumModel(((DiscreteDistribution(((-1.0, 0.2), (0.25, 0.8))), 400),))
+        iv = third_moment_interval(m, 0.1)
+        assert iv.constants == {"B": m.b_ratio}
+        assert iv.range_limit == 0.1 * m.sigma / m.b_ratio
+        assert iv.band == 16.0 * m.b_ratio / m.sigma * chernoff_bound(m, 0.1)
 
 
 class TestNormalTailUpper:
@@ -271,10 +269,17 @@ class TestIntervalShapes:
     def test_lower_not_above_upper_when_band_vanishes(self):
         # on Rademacher sums the Hoeffding cap equals the Chernoff bound up to
         # rounding, so a band of a few ulps must not leave lower > upper
+        from sharptail.sharp import _interval_from_band
+
         m = rademacher_model(100)
+        crossed = False
         for x in np.linspace(0, 2, 9):
-            iv = saddlepoint_interval(m, x, C=1e-300)
-            assert 0.0 <= iv.lower <= iv.upper <= 1.0
+            theta = mills_ratio(x)
+            for band in (0.0, math.ulp(theta), 2 * math.ulp(theta)):
+                iv = _interval_from_band("band", m, x, theta, band, 0.0, math.inf, {})
+                assert 0.0 <= iv.lower <= iv.upper <= 1.0
+                crossed |= (theta - band) * chernoff_bound(m, x) > iv.upper
+        assert crossed  # at x = 1 the unclamped lower end lies above the upper
 
     def test_band_monotone_in_x(self):
         m = rademacher_model(400)
@@ -296,11 +301,23 @@ class TestIntervalShapes:
 
 class TestConstantsPolicy:
     def test_default_universal(self):
-        # the universal constant is the default; refinements are passed as C
+        # every interval's band reads the universal constant, recorded for audit
         m = rademacher_model(100)
         assert C3_UNIVERSAL == 0.56
-        assert expansion_interval(m, 0.5, 1.0) == expansion_interval(m, 0.5, 1.0, C=0.56)
-        assert berry_esseen_tilted(m, 0.1) == berry_esseen_tilted(m, 0.1, C=C3_UNIVERSAL)
+        assert expansion_interval(m, 0.5, 1.0).constants["C"] is C3_UNIVERSAL
+        assert saddlepoint_interval(m, 0.5).constants["C"] is C3_UNIVERSAL
+
+    @pytest.mark.parametrize("fn", [
+        expansion_error, expansion_interval, saddlepoint_interval, berry_esseen_tilted,
+        subgaussian_multiplier, subgaussian_upper, third_moment_interval, normal_tail_upper,
+    ], ids=lambda fn: fn.__name__)
+    def test_only_the_papers_parameters_are_settable(self, fn):
+        # C is the universal constant and the ratio bounds' B the model's:
+        # B stays a parameter only where the curvature constant is the caller's
+        params = inspect.signature(fn).parameters
+        assert not {"C", "C3"} & set(params)
+        assert "B" not in params or params["B"].default is inspect.Parameter.empty
+        assert "ratio_b" not in {f.name for f in dataclasses.fields(BoundSpec)}
 
 
 _FIVE = SumModel(((FIVE_ATOM, 100),))
