@@ -176,7 +176,7 @@ def cmd_bounds(args) -> int:
 
     blank = set()
     for name in selected:
-        reason = BOUNDS[name].violation_at(model, B, None) if name in BOUNDS else None
+        reason = BOUNDS[name].violation_at(model, B) if name in BOUNDS else None
         if reason is not None:
             if explicit:
                 raise HypothesisError(f"{name} {reason}")
@@ -274,17 +274,17 @@ _NORMAL_APPROX_TILTS = (0.0, 0.05, 0.1)
 _CONTAINMENT_POINTS = 25
 
 
-def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
+def verify_report(model, B: float, delta: float) -> dict:
     report: dict = {"schema_version": SCHEMA_VERSION, "command": "verify"}
 
-    curv = check_curvature_condition(model, B, lambda_grid)
+    curv = check_curvature_condition(model, B)
     report["curvature_condition"] = {
         "B": curv.B, "holds": curv.holds,
         "worst_margin": curv.worst_margin if math.isfinite(curv.worst_margin) else None,
         "worst_lambda": curv.worst_lambda,
     }
 
-    suite = inequality_suite(model, B, delta, lambda_grid)
+    suite = inequality_suite(model, B, delta)
     report["inequalities"] = suite.to_dict()["checks"]
 
     failures = not curv.holds or not suite.all_hold
@@ -302,7 +302,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
 
     checks, grids = [], {}
     for name in ("expansion", "third_moment", "two_sided", "saddlepoint"):
-        reason = BOUNDS[name].violation_at(model, B, lambda_grid)
+        reason = BOUNDS[name].violation_at(model, B)
         if reason is not None:
             checks.append({"name": name, "skipped": True, "reason": reason})
         else:
@@ -330,8 +330,7 @@ def verify_report(model, B: float, delta: float, lambda_grid=None) -> dict:
 
 def cmd_verify(args) -> int:
     model, B = _load_with_constants(args)
-    grid = _parse_grid(args.grid) if args.grid else None
-    report = verify_report(model, B, args.delta, grid)
+    report = verify_report(model, B, args.delta)
     json.dump(report, sys.stdout, indent=2, default=float)
     sys.stdout.write("\n")
     return EXIT_OK if report["ok"] else EXIT_VERIFY
@@ -432,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True)
     v.add_argument("--b", type=float, default=None)
     v.add_argument("--delta", type=float, default=1.0)
-    v.add_argument("--grid", default=None, help="lambda grid a:b:steps")
     v.set_defaults(fn=cmd_verify)
 
     ra = sub.add_parser("rate", help="rate function table")

@@ -31,11 +31,12 @@ HYP_TOL = 1e-12
 def law_scale(values) -> float:
     """The unit of a law's atoms: the power of two s with s <= max|v| < 2s.
 
-    The mean gate, the lattice snap and the saddlepoint residual gate read
-    it; the curvature grid and `verify`'s tilts read B and a_max, which
-    scale with the atoms too.  Scaling by a power of two is exact, so
-    multiplying every atom (and B) by 2^k changes no decision and no bit of
-    the exact tails or Chernoff bounds, and scales the saddlepoints by 2^-k.
+    The mean gate, the lattice snap, the saddlepoint residual gate and the
+    suite grid's cap read it; the curvature grid and `verify`'s
+    normal-approximation tilts read B and a_max, which scale with the atoms
+    too.  Scaling by a power of two is exact, so multiplying every atom (and
+    B) by 2^k changes no decision and no bit of the exact tails or Chernoff
+    bounds, and scales the saddlepoints by 2^-k.
     """
     return math.ldexp(1.0, math.frexp(max(abs(float(v)) for v in values))[1] - 1)
 
@@ -279,21 +280,16 @@ def default_lambda_grid(B: float) -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(1e-6, 10.0, 200) / B))
 
 
-def check_curvature_condition(model, B, lambda_grid=None) -> CurvatureReport:
-    """Verify the lower-curvature condition on a tilt grid.
+def check_curvature_condition(model, B) -> CurvatureReport:
+    """Verify the lower-curvature condition on `default_lambda_grid(B)`.
 
     For each lam the margin is sum_i E xi_i^2 e^(lam xi_i) - (1 - B lam) sigma^2;
-    the condition holds when the worst margin is >= -HYP_TOL * sigma^2.  The grid
-    check is a surrogate for the all-lam statement; for delta = 1 the exact
+    the condition holds when the worst margin is >= -HYP_TOL * sigma^2.  The
+    condition is a statement about every lam >= 0, so no caller picks the
+    tilts: the fixed grid is a surrogate for it, and for delta = 1 the exact
     sufficient criterion is :func:`curvature_condition_from_moments`.
     """
-    if not 0 < B < math.inf:
-        raise ParameterError(f"B must be positive and finite, got {B}")
-    grid = default_lambda_grid(B) if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise ParameterError("lambda grid must be non-empty")
-    if not np.all((grid >= 0) & np.isfinite(grid)):
-        raise ParameterError("lambda grid values must be finite and >= 0")
+    grid = default_lambda_grid(B)
     values, probs, mults = model.packed_atoms
     # padding atoms (probability 0) keep 0, so an overflow gives inf, not nan
     growth = np.zeros((grid.size,) + values.shape)
@@ -318,23 +314,24 @@ def curvature_condition_from_moments(model: SumModel, B: float) -> bool:
     return all(abs_moment(d, 3) <= B * d.variance * (1 + HYP_TOL) for d, _ in model.components)
 
 
-def curvature_holds(model: SumModel, B: float, lambda_grid) -> bool:
+def curvature_holds(model: SumModel, B: float) -> bool:
     """The curvature condition at B: the ratio criterion, else the grid check."""
     return (curvature_condition_from_moments(model, B)
-            or check_curvature_condition(model, B, lambda_grid).holds)
+            or check_curvature_condition(model, B).holds)
 
 
-def envelope_violations(model: SumModel, B: float, delta: float, lambda_grid):
+def envelope_violations(model: SumModel, B: float, delta: float):
     """violation(check): why an envelope check of `sharptail.tilting`, or its
     1.12/sigma_bar bound ("normal_approx"), fails its hypothesis at (B, delta),
     else None.  Each hypothesis is decided once, when first needed, with the
-    relative slack HYP_TOL; curvature on `lambda_grid`, the grid `verify` prints."""
+    relative slack HYP_TOL; curvature by `curvature_holds`, on the grid
+    `verify` prints."""
     upper_B = model.a_max <= B * (1 + HYP_TOL)
     with np.errstate(over="ignore"):  # a huge B's cap overflows to inf, met by every moment
         cap = np.float64(B) ** (2 + delta) * (1 + HYP_TOL)
     moment_B = cache(lambda: max(abs_moment(d, 2 + delta) for d, _ in model.components) <= cap)
     ratio = cache(lambda: curvature_condition_from_moments(model, B))
-    curvature = cache(lambda: curvature_holds(model, B, lambda_grid))
+    curvature = cache(lambda: curvature_holds(model, B))
     reasons = {
         "mgf_two_point": lambda: support_violation(model, "upper"),
         "mgf_gaussian": lambda: None if upper_B and moment_B()

@@ -77,10 +77,10 @@ class BoundSpec:
         """Why `model` fails the support hypothesis; None when it holds."""
         return None if self.support is None else support_violation(model, self.support)
 
-    def violation_at(self, model: SumModel, B: float, lambda_grid) -> str | None:
-        """`violation`, then a `curvature` bound's condition at B on `lambda_grid`."""
+    def violation_at(self, model: SumModel, B: float) -> str | None:
+        """`violation`, then a `curvature` bound's condition at B."""
         reason = self.violation(model)
-        if reason is None and self.curvature and not curvature_holds(model, B, lambda_grid):
+        if reason is None and self.curvature and not curvature_holds(model, B):
             reason = f"needs the curvature condition at B = {B:.6g}"
         return reason
 

@@ -4,7 +4,7 @@
 component, the tilted mean of the whole sum (which equals the cumulant
 derivative) and the total tilted variance.
 
-`inequality_suite` evaluates, on a tilt grid, the standard envelope
+`inequality_suite` evaluates, on a fixed tilt grid, the standard envelope
 inequalities this package's sharp bounds rest on: two-point and Gaussian MGF
 caps, two-sided envelopes for the tilted mean and tilted variance, and
 cumulant caps.  :func:`sharptail.models.envelope_violations` decides their
@@ -22,7 +22,7 @@ import numpy as np
 from ._normal import ndtr
 from ._tiltmath import packed_cumulants, packed_tilt, tilted_stats
 from .errors import NumericalError, ParameterError
-from .models import SumModel, abs_moment, envelope_violations
+from .models import SumModel, abs_moment, envelope_violations, law_scale
 from .oracle import build_lattice, build_tilted_lattice
 from .sharp import C3_UNIVERSAL
 
@@ -120,8 +120,12 @@ class SuiteReport:
         raise KeyError(name)
 
 
-def default_suite_grid(B: float) -> np.ndarray:
-    return np.linspace(0.0, min(1.0 / B, 5.0), 50)
+def default_suite_grid(model: SumModel, B: float) -> np.ndarray:
+    """50 tilts from 0 to min(1/B, 5/s), s the unit of the model's atoms
+    (`law_scale`): scaling the atoms and B by 2^k scales the grid by 2^-k,
+    exactly."""
+    s = law_scale((model.lower_min, model.a_max))
+    return np.linspace(0.0, min(1.0 / B, 5.0 / s), 50)
 
 
 def _two_point_mgf_cap(lams, var):
@@ -129,9 +133,10 @@ def _two_point_mgf_cap(lams, var):
     return (var * np.exp(lams) + np.exp(-lams * var)) / (1.0 + var)
 
 
-def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
-                     lambda_grid=None) -> SuiteReport:
-    """Evaluate every envelope inequality whose hypothesis the model satisfies.
+def inequality_suite(model: SumModel, B: float, delta: float = 1.0) -> SuiteReport:
+    """Evaluate, on `default_suite_grid(model, B)`, every envelope inequality
+    whose hypothesis the model satisfies.  Each is a statement about every
+    tilt, so no caller picks the grid.
 
     Margins are signed slacks (bound minus quantity, or quantity minus bound
     for lower bounds), divided by sigma^2 for sum-level quantities so they
@@ -141,9 +146,7 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
         raise ParameterError(f"B must be positive, got {B}")
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
-    lams = default_suite_grid(B) if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if lams.size == 0 or not np.all((lams >= 0) & np.isfinite(lams)):
-        raise ParameterError("lambda grid must be non-empty with finite values >= 0")
+    lams = default_suite_grid(model, B)
 
     s2 = model.sigma2
     n = model.n
@@ -154,7 +157,7 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0,
         stats, _ = packed_tilt(values, probs, lams)
         psi, bn, varbar = np.add.reduce(stats * mults, axis=2)
 
-    violation = envelope_violations(model, B, delta, lambda_grid)
+    violation = envelope_violations(model, B, delta)
     checks = []
 
     def add(name, margins):
@@ -297,7 +300,7 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0) -> Norm
         )
     except (OverflowError, ZeroDivisionError):  # exp(B lam) or 1/sbar^(2+delta) overflows
         moment_bound = math.inf
-    bounded_bound = None if envelope_violations(model, B, delta, None)("normal_approx") else 1.12 / sbar
+    bounded_bound = None if envelope_violations(model, B, delta)("normal_approx") else 1.12 / sbar
     bound = bounded_bound if bounded_bound is not None else moment_bound
     return NormalApproxReport(
         lam=lam, sup_distance=sup, bound=bound, moment_bound=moment_bound,

@@ -295,7 +295,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--model", "{model}", "--x-grid", "0:1:{n}"],
         ["rate", "--model", "{model}", "--y-grid", "0:1:{n}"],
-        ["verify", "--model", "{model}", "--grid", "0:1:{n}"],
+        ["bounds", "--model", "{model}", "--x-grid", "0:1:{n}", "--format", "json"],
         ["ratio", "--points", "{n}"],
     ])
     def test_grid_above_the_cap_exit_2_before_it_is_built(self, capsys, monkeypatch, rad_file, argv):
@@ -386,18 +386,12 @@ def _strict_json(out):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     model=hst.sampled_from(sorted(_FUZZ_MODELS)),
-    grid=hst.none() | hst.tuples(
-        hst.sampled_from(["0", "0.5", "3", "-1", "nan", "inf", "-inf", "1e-300", "1e300"]),
-        hst.sampled_from(["0", "1", "12", "-0.5", "nan", "inf", "1e300"]),
-        hst.sampled_from(["-1", "0", "1", "7", "x"])).map(":".join),
     constants=hst.fixed_dictionaries({}, optional={
         flag: hst.sampled_from(_ODD) for flag in ("--b", "--delta")}),
 )
-def test_verify_fuzz(capsys, fuzz_files, model, grid, constants):
+def test_verify_fuzz(capsys, fuzz_files, model, constants):
     argv = ["verify", "--model", str(fuzz_files[model])]
     argv += [f"{flag}={value}" for flag, value in constants.items()]
-    if grid is not None:
-        argv.append(f"--grid={grid}")
     code, out, err = run(capsys, argv)
     assert code in (0, 2, 3, 4), err
     if code in (2, 3):
@@ -559,13 +553,15 @@ def test_every_printed_bound_holds_on_random_models(capsys, tmp_path, model, poi
     ["bounds", "--x-grid", "0:1e308:3"],
     ["bounds", "--x-grid", "0:1e308:3", "--b", "2", "--format", "json"],
     ["rate", "--y-grid", "0:1e308:3"],
-    ["verify", "--grid", "0:1e308:3"],
-    ["verify", "--grid", "0:1e308:3", "--b", "2"],
+    ["verify", "--b", "1e-300"],
+    ["verify", "--b", "1e300"],
     ["ratio", "--n-list", "10", "--x-max", "1e308", "--points", "3"],
 ])
 def test_huge_finite_grid_warns_nothing(capsys, tmp_path, argv):
     # products with a grid point near the float64 limit overflow to inf,
     # which each command handles; numpy must not warn about it on stderr.
+    # `verify --b 1e-300` ends its curvature grid at lam = 1e301, and
+    # `--b 1e300` overflows its moment cap B^3.
     # Rademacher atoms span 2, so lam * span overflows too; FIVE_ATOM's 1.75
     # keeps it finite.
     for dist in (FIVE_ATOM, rademacher()):
@@ -749,17 +745,46 @@ def test_zero_variance_exit_2(capsys, tmp_path, argv):
     assert err == "error: components[0]: variance is 0.000e+00; it must be positive and finite\n"
 
 
+#: {-3 w.p. 1/4, 1 w.p. 3/4} x 40: third-moment ratio 2.5, so a smaller B
+#: is decided on the curvature grid, where 1.5 and 1.9 fail and 2.2 holds
+_SKEWED_WIDE = [(((-3.0, 0.25), (1.0, 0.75)), 40)]
+
+
 class TestVerifyCommand:
     def test_suite_decides_curvature_on_the_printed_grid(self, capsys, tmp_path):
-        # the third-moment ratio 2.5 exceeds B = 1.5, so the curvature
-        # condition is decided on the grid, the one `verify` prints: {0}
-        path = _model_file(tmp_path, [(((-3.0, 0.25), (1.0, 0.75)), 40)])
-        code, out, _ = run(capsys, ["verify", "--model", path, "--b", "1.5", "--grid", "0:0:1"])
+        # the third-moment ratio 2.5 exceeds B = 2.2, so the curvature
+        # condition is decided on the grid, the one `verify` prints
+        path = _model_file(tmp_path, _SKEWED_WIDE)
+        code, out, _ = run(capsys, ["verify", "--model", path, "--b", "2.2"])
         assert code == 0
         payload = json.loads(out)
         assert payload["curvature_condition"]["holds"] is True
         checks = {c["name"]: c for c in payload["inequalities"]}
         assert checks["tilted_mean_two_sided"]["holds"] is True
+
+    def test_no_grid_flag(self, capsys, rad_file):
+        # the paper's inequalities hold for every tilt, so no caller picks
+        # them: a grid that left out the failing tilts passed a false B
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", rad_file, "--grid", "0:0:1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("B", [1.5, 1.9, 2.2, 2.5])
+    def test_verify_and_bounds_decide_curvature_alike(self, capsys, tmp_path, B):
+        path = _model_file(tmp_path, _SKEWED_WIDE)
+        code, out, _ = run(capsys, ["verify", "--model", path, "--b", str(B)])
+        payload = json.loads(out)
+        holds = payload["curvature_condition"]["holds"]
+        expansion = {c["name"]: c for c in payload["containment"]}["expansion"]
+        skipped = expansion == {"name": "expansion", "skipped": True,
+                                "reason": f"needs the curvature condition at B = {B:.6g}"}
+        named, _, err = run(capsys, ["bounds", "--model", path, "--b", str(B),
+                                     "--x-grid", "0:1:3", "--bounds", "expansion"])
+        assert skipped is (not holds) is (named == 3), (payload, err)
+        assert (code, named) == ((0, 0) if B >= 2.2 else (4, 3))
+        if holds:
+            assert expansion["holds"] is True
 
     def test_b_failing_curvature_skips_expansion_exit_4(self, capsys, neg_file):
         # B = 0.1 fails the curvature condition: expansion's containment is

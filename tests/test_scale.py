@@ -2,7 +2,7 @@
 law's own scale, so multiplying every atom (and B) by 2^k, which is exact,
 changes no bit of the exact tails, the Chernoff bounds, the seeded Monte-Carlo
 estimates or the B-gated decisions, and scales the saddlepoints, the
-curvature grid and `verify`'s tilts by 2^-k."""
+curvature and suite grids and `verify`'s tilts by 2^-k."""
 
 import contextlib
 import io
@@ -10,6 +10,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
@@ -91,6 +92,10 @@ def test_scaling_the_atoms_by_a_power_of_two(tmp_path_factory, model, k, seed):
     for name in _SCALED_GATES:
         assert (rep_k[name].applicable, rep_k[name].reason) == \
             (rep[name].applicable, rep[name].reason), name
+        # the suite grid is in the law's unit, so its worst tilt scales too;
+        # `holds` is not compared, as some margins still carry a unit
+        if rep[name].applicable:
+            assert rep_k[name].worst_lambda * 2.0**k == rep[name].worst_lambda, name
 
     (code, out), (code_k, out_k) = (
         cli(["verify", "--b", repr(b)], p) for b, p in ((B, paths[0]), (B * 2.0**k, paths[1])))
@@ -110,3 +115,17 @@ def test_scaling_the_atoms_by_a_power_of_two(tmp_path_factory, model, k, seed):
         assert row_k["sigma_bar"] == row["sigma_bar"] * 2.0**k
         assert row_k["sup_distance"] == row["sup_distance"]
         assert math.isclose(row_k["moment_bound"], row["moment_bound"], rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("k", [-30, -20, 0])
+def test_verify_fair_coins_at_any_scale(tmp_path, k):
+    # with the suite grid capped at lam = 5 in absolute terms, 20 fair
+    # +/-2^-30 summands were tilted only to lam * 2^-30 <= 5 * 2^-30, where
+    # the cumulant is rounding noise, and cumulant_gaussian failed
+    path = tmp_path / "coins.json"
+    path.write_text(json.dumps({"components": [
+        {"atoms": [[-(2.0**k), 0.5], [2.0**k, 0.5]], "multiplicity": 20}]}))
+    code, out = cli(["verify"], path)
+    assert code == 0, out
+    for check in json.loads(out)["inequalities"]:
+        assert check["worst_lambda"] * 2.0**k <= 1.0, check

@@ -37,9 +37,11 @@ from sharptail import (
     two_sided_multiplier,
 )
 from sharptail.classical import SQRT_2PI, SQRT_PI
+from sharptail.cli import verify_report
 from sharptail.errors import HypothesisError, ParameterError, RangeError
+from sharptail.models import check_curvature_condition, curvature_holds, envelope_violations
 from sharptail.sharp import BOUNDS, BoundSpec
-from sharptail.tilting import tilt
+from sharptail.tilting import inequality_suite, tilt
 
 from conftest import FIVE_ATOM
 
@@ -318,6 +320,15 @@ class TestConstantsPolicy:
         assert not {"C", "C3"} & set(params)
         assert "B" not in params or params["B"].default is inspect.Parameter.empty
         assert "ratio_b" not in {f.name for f in dataclasses.fields(BoundSpec)}
+
+    @pytest.mark.parametrize("fn", [
+        verify_report, BoundSpec.violation_at, check_curvature_condition, curvature_holds,
+        envelope_violations, inequality_suite,
+    ], ids=lambda fn: fn.__qualname__)
+    def test_no_caller_chosen_tilt_grid(self, fn):
+        # the curvature condition and the suite's inequalities hold for every
+        # tilt, so each check reads the one grid the program fixes for it
+        assert "lambda_grid" not in inspect.signature(fn).parameters
 
 
 _FIVE = SumModel(((FIVE_ATOM, 100),))

@@ -114,22 +114,24 @@ class TestTilt:
 class TestInequalitySuite:
     def test_rademacher_all_hold(self):
         m = rademacher_model(25)
-        rep = inequality_suite(m, 1.0, lambda_grid=np.linspace(0, 5, 60))
+        rep = inequality_suite(m, 1.0)
         assert all(c.applicable for c in rep.checks)
         assert rep.all_hold
 
     def test_lambda_zero_margins(self):
-        rep = inequality_suite(rademacher_model(10), 1.0, lambda_grid=[0.0])
+        rep = inequality_suite(rademacher_model(10), 1.0)
         assert rep.all_hold
-        # both sides of the tilted-mean envelope collapse to 0 at lam = 0
+        # both sides of the tilted-mean envelope collapse to 0 at lam = 0,
+        # the suite grid's first tilt
         assert rep["tilted_mean_two_sided"].worst_margin == pytest.approx(0.0, abs=1e-15)
+        assert rep["tilted_mean_two_sided"].worst_lambda == 0.0
 
     @pytest.mark.parametrize("v", [0.25, 1.0, 4.0])
     def test_extremal_attains_two_point_cap(self, v):
         # the two-point MGF cap is met with equality by the extremal law
         m = extremal_model(v, 8)
         B = max(1.0, v)
-        rep = inequality_suite(m, B, lambda_grid=np.linspace(0, 3, 40))
+        rep = inequality_suite(m, B)
         chk = rep["mgf_two_point"]
         assert chk.applicable and chk.holds
         assert abs(chk.worst_margin) <= 1e-10
