@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -221,6 +221,13 @@ class SumModel:
         instances, equal or not."""
         return {}
 
+    @cached_property
+    def hypothesis_record(self) -> dict:
+        """Every hypothesis (see `hypothesis_violation`) and curvature report
+        (under the key B) decided on this instance; never shared between
+        instances, equal or not."""
+        return {}
+
     def abs_moment_sum(self, p: float) -> float:
         """sum_i E|xi_i|^p over all n summands."""
         return sum(m * abs_moment(d, p) for d, m in self.components)
@@ -229,23 +236,6 @@ class SumModel:
     def b_ratio(self) -> float:
         """Smallest B with E|xi_i|^3 <= B * E xi_i^2 for every component."""
         return max(abs_moment(d, 3) / d.variance for d, _ in self.components)
-
-
-#: support hypothesis -> (its test, the reason a model that fails it is
-#: skipped): xi_i <= 1, |xi_i| <= 1 and xi_i <= sigma_i, for every summand
-_SUPPORT = {
-    "upper": (lambda m: m.a_max <= 1.0 + HYP_TOL, "needs xi_i <= 1"),
-    "abs": (lambda m: m.a_max <= 1.0 + HYP_TOL and m.lower_min >= -1.0 - HYP_TOL,
-            "needs |xi_i| <= 1"),
-    "sigma": (lambda m: all(d.upper <= math.sqrt(d.variance) * (1 + HYP_TOL) for d, _ in m.components),
-              "needs xi_i <= sigma_i for every component"),
-}
-
-
-def support_violation(model: SumModel, hypothesis: str) -> str | None:
-    """None when `model` satisfies the support hypothesis, else the reason."""
-    holds, reason = _SUPPORT[hypothesis]
-    return None if holds(model) else reason
 
 
 def rademacher_model(n: int) -> SumModel:
@@ -281,7 +271,9 @@ def default_lambda_grid(B: float) -> np.ndarray:
 
 
 def check_curvature_condition(model, B) -> CurvatureReport:
-    """Verify the lower-curvature condition on `default_lambda_grid(B)`.
+    """Verify the lower-curvature condition on `default_lambda_grid(B)`, once
+    per model instance and B: `verify` and the `curvature` hypothesis read
+    the report the model's `hypothesis_record` keeps under the key B.
 
     For each lam the margin is sum_i E xi_i^2 e^(lam xi_i) - (1 - B lam) sigma^2;
     the condition holds when the worst margin is >= -HYP_TOL * sigma^2.  The
@@ -289,6 +281,9 @@ def check_curvature_condition(model, B) -> CurvatureReport:
     tilts: the fixed grid is a surrogate for it, and for delta = 1 the exact
     sufficient criterion is :func:`curvature_condition_from_moments`.
     """
+    record = model.hypothesis_record
+    if B in record:
+        return record[B]
     grid = default_lambda_grid(B)
     values, probs, mults = model.packed_atoms
     # padding atoms (probability 0) keep 0, so an overflow gives inf, not nan
@@ -299,12 +294,10 @@ def check_curvature_condition(model, B) -> CurvatureReport:
         rows = (growth[:, :, None, :] @ (probs * values**2)[:, :, None])[..., 0, 0]
         margins = np.add.reduce(rows * mults, axis=1) - (1.0 - B * grid) * model.sigma2
     k = int(np.argmin(margins))
-    return CurvatureReport(
-        holds=bool(margins[k] >= -HYP_TOL * model.sigma2),
-        worst_margin=float(margins[k]),
-        worst_lambda=float(grid[k]),
-        B=float(B),
-    )
+    record[B] = CurvatureReport(holds=bool(margins[k] >= -HYP_TOL * model.sigma2),
+                                worst_margin=float(margins[k]), worst_lambda=float(grid[k]),
+                                B=float(B))
+    return record[B]
 
 
 def curvature_condition_from_moments(model: SumModel, B: float) -> bool:
@@ -314,40 +307,46 @@ def curvature_condition_from_moments(model: SumModel, B: float) -> bool:
     return all(abs_moment(d, 3) <= B * d.variance * (1 + HYP_TOL) for d, _ in model.components)
 
 
-def curvature_holds(model: SumModel, B: float) -> bool:
-    """The curvature condition at B: the ratio criterion, else the grid check."""
-    return (curvature_condition_from_moments(model, B)
-            or check_curvature_condition(model, B).holds)
-
-
-def envelope_violations(model: SumModel, B: float, delta: float):
-    """violation(check): why an envelope check of `sharptail.tilting`, or its
-    1.12/sigma_bar bound ("normal_approx"), fails its hypothesis at (B, delta),
-    else None.  Each hypothesis is decided once, when first needed, with the
-    relative slack HYP_TOL; curvature by `curvature_holds`, on the grid
-    `verify` prints."""
-    upper_B = model.a_max <= B * (1 + HYP_TOL)
+def _moment_cap_holds(model: SumModel, B: float, delta: float) -> bool:
     with np.errstate(over="ignore"):  # a huge B's cap overflows to inf, met by every moment
         cap = np.float64(B) ** (2 + delta) * (1 + HYP_TOL)
-    moment_B = cache(lambda: max(abs_moment(d, 2 + delta) for d, _ in model.components) <= cap)
-    ratio = cache(lambda: curvature_condition_from_moments(model, B))
-    curvature = cache(lambda: curvature_holds(model, B))
-    reasons = {
-        "mgf_two_point": lambda: support_violation(model, "upper"),
-        "mgf_gaussian": lambda: None if upper_B and moment_B()
-            else "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)",
-        "tilted_mean_two_sided": lambda: None if upper_B and curvature()
-            else "needs xi_i <= B and the curvature condition",
-        "cumulant_two_point": lambda: support_violation(model, "upper"),
-        "tilted_variance_two_sided": lambda: None if upper_B and curvature() and moment_B()
-            else "needs xi_i <= B, the curvature condition and the (2+delta) moment cap",
-        "cumulant_gaussian": lambda: support_violation(model, "sigma"),
-        "tilted_variance_lower": lambda: None if upper_B and ratio()
-            else "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2",
-        "tilted_mean_lower": lambda: support_violation(model, "abs"),
-        "normal_approx": lambda: support_violation(model, "abs"),
-    }
-    return lambda check: reasons[check]()
+    return max(abs_moment(d, 2 + delta) for d, _ in model.components) <= cap
+
+
+#: every hypothesis a printed number rests on: name -> (how many of the
+#: constants (B, delta) its test reads, its test of the model and those
+#: constants, with the relative slack HYP_TOL, and the phrase that names it)
+HYPOTHESES = {
+    "upper": (0, lambda m: m.a_max <= 1.0 + HYP_TOL, "xi_i <= 1"),
+    "abs": (0, lambda m: m.a_max <= 1.0 + HYP_TOL and m.lower_min >= -1.0 - HYP_TOL,
+            "|xi_i| <= 1"),
+    "sigma": (0, lambda m: all(d.upper <= math.sqrt(d.variance) * (1 + HYP_TOL)
+                               for d, _ in m.components),
+              "xi_i <= sigma_i for every component"),
+    "upper_B": (1, lambda m, B: m.a_max <= B * (1 + HYP_TOL), "xi_i <= B"),
+    "moment_B": (2, _moment_cap_holds, "E|xi_i|^(2+delta) <= B^(2+delta)"),
+    "ratio_B": (1, curvature_condition_from_moments, "E|xi_i|^3 <= B E xi_i^2"),
+    # the third-moment criterion, else the grid check `verify` prints
+    "curvature": (1, lambda m, B: hypothesis_violation(m, ("ratio_B",), B, None) is None
+                  or check_curvature_condition(m, B).holds,
+                  "the curvature condition at B = {B:.6g}"),
+}
+
+
+def hypothesis_violation(model: SumModel, needs: tuple[str, ...], B, delta) -> str | None:
+    """None when `model` satisfies every hypothesis named in `needs` at the
+    constants (B, delta), else "needs " and the phrase of the first that
+    fails.  Each is decided once per model instance and constants its test
+    reads, and kept under (name, *constants) in `hypothesis_record`."""
+    record = model.hypothesis_record
+    for name in needs:
+        reads, holds, phrase = HYPOTHESES[name]
+        key = (name, *(B, delta)[:reads])
+        if key not in record:
+            record[key] = holds(model, *key[1:])
+        if not record[key]:
+            return "needs " + phrase.format(B=B, delta=delta)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .classical import SQRT_2PI, SQRT_PI, bernstein_arg, hoeffding_bound, mills_ratio, normal_cdf
 from .errors import HypothesisError, ParameterError, RangeError
-from .models import SumModel, curvature_holds, support_violation
+from .models import SumModel, hypothesis_violation
 from .rate import chernoff_bound, solve_saddlepoint
 
 #: the universal Berry-Esseen constant for third-moment normalization of
@@ -44,9 +44,6 @@ class SharpInterval:
     constants: dict = field(default_factory=dict)
     note: str | None = None
 
-    def contains(self, p: float) -> bool:
-        return self.lower <= p <= self.upper
-
     def to_dict(self) -> dict:
         out = asdict(self)
         if self.note is None:
@@ -58,34 +55,27 @@ class SharpInterval:
 class BoundSpec:
     """One printed bound's hypotheses and admissible x-range, stated once.
 
-    `support` names its support hypothesis (see
-    :func:`sharptail.models.support_violation`), if any; a `curvature` bound
-    also needs the curvature condition at the caller's B, decided once per
-    command by `violation_at`, never per x by `admit`.  `limit(model, B)`
-    ends the x-range, excluding the end when `open`; an unlimited one has a
-    `horizon(model, B)` up to which `verify` checks the bound instead.
+    `needs` names its hypotheses in `sharptail.models.HYPOTHESES`; `violation`
+    decides `curvature`, the condition at the caller's B, only given B: once
+    per command, never per x by `admit`.  `limit(model, B)` ends the x-range,
+    excluding the end when `open`; an unlimited one has a `horizon(model, B)`
+    up to which `verify` checks the bound instead.
     """
 
     name: str
-    support: str | None = None
-    curvature: bool = False
+    needs: tuple[str, ...] = ()
     limit: Callable[[SumModel, float], float] = lambda model, B: math.inf
     open: bool = False
     horizon: Callable[[SumModel, float], float] | None = None
 
-    def violation(self, model: SumModel) -> str | None:
-        """Why `model` fails the support hypothesis; None when it holds."""
-        return None if self.support is None else support_violation(model, self.support)
-
-    def violation_at(self, model: SumModel, B: float) -> str | None:
-        """`violation`, then a `curvature` bound's condition at B."""
-        reason = self.violation(model)
-        if reason is None and self.curvature and not curvature_holds(model, B):
-            reason = f"needs the curvature condition at B = {B:.6g}"
-        return reason
+    def violation(self, model: SumModel, B: float | None = None) -> str | None:
+        """Why `model` fails a hypothesis of this bound, the curvature
+        condition at B among them when B is given; None when they hold."""
+        needs = self.needs if B is not None else tuple(h for h in self.needs if h != "curvature")
+        return hypothesis_violation(model, needs, B, None)
 
     def admit(self, model: SumModel, x: float, B: float | None = None):
-        """Check x and the support hypothesis; return (end of the x-range,
+        """Check x and the hypotheses but curvature; return (end of the x-range,
         whether x lies in the range)."""
         if not x >= 0:
             raise ParameterError(f"x must be >= 0, got {x}")
@@ -104,19 +94,19 @@ class BoundSpec:
         return end * (1 - 1e-9) if self.open else end
 
 
-EXPANSION = BoundSpec("expansion", support="upper", curvature=True,
+EXPANSION = BoundSpec("expansion", needs=("upper", "curvature"),
                       limit=lambda m, B: 0.25 * m.sigma / B, open=True)
 SADDLEPOINT = BoundSpec("saddlepoint", horizon=lambda m, B: 0.9 * m.max_support / m.sigma)
-THIRD_MOMENT = BoundSpec("third_moment", support="upper",
+THIRD_MOMENT = BoundSpec("third_moment", needs=("upper",),
                          limit=lambda m, B: 0.1 * m.sigma / m.b_ratio)
-TWO_SIDED = BoundSpec("two_sided", support="abs", limit=lambda m, B: 0.606 * m.sigma)
-NORMAL_SHAPE = BoundSpec("normal_shape", support="upper", limit=THIRD_MOMENT.limit)
-SUBGAUSSIAN = BoundSpec("subgaussian", support="sigma",
+TWO_SIDED = BoundSpec("two_sided", needs=("abs",), limit=lambda m, B: 0.606 * m.sigma)
+NORMAL_SHAPE = BoundSpec("normal_shape", needs=("upper",), limit=THIRD_MOMENT.limit)
+SUBGAUSSIAN = BoundSpec("subgaussian", needs=("sigma",),
                         limit=lambda m, B: 0.25 * m.sigma / m.b_ratio, open=True)
-HOEFFDING = BoundSpec("hoeffding", support="upper")
-BENNETT = BoundSpec("bennett", support="upper")
-BERNSTEIN = BoundSpec("bernstein", support="upper")
-BENTKUS = BoundSpec("bentkus", support="upper")
+HOEFFDING = BoundSpec("hoeffding", needs=("upper",))
+BENNETT = BoundSpec("bennett", needs=("upper",))
+BERNSTEIN = BoundSpec("bernstein", needs=("upper",))
+BENTKUS = BoundSpec("bentkus", needs=("upper",))
 
 #: every printed bound's declaration, by name
 BOUNDS = {spec.name: spec for spec in (
@@ -181,7 +171,7 @@ def expansion_interval(model: SumModel, x: float, B: float, delta: float = 1.0) 
     xi_i <= 1 under the curvature condition with constant B, x < 0.25 sigma/B.
 
     The caller attests the curvature condition (`bounds` and `verify` decide
-    it with `EXPANSION.violation_at`); only the support hypothesis is
+    it with `EXPANSION.violation(model, B)`); only the support hypothesis is
     enforced here.
     """
     limit, inside = EXPANSION.admit(model, x, B)

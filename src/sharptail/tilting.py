@@ -7,9 +7,9 @@ derivative) and the total tilted variance.
 `inequality_suite` evaluates, on a fixed tilt grid, the standard envelope
 inequalities this package's sharp bounds rest on: two-point and Gaussian MGF
 caps, two-sided envelopes for the tilted mean and tilted variance, and
-cumulant caps.  :func:`sharptail.models.envelope_violations` decides their
-hypotheses and that of `berry_esseen_tilted`'s 1.12/sigma_bar bound: a model
-that does not satisfy a hypothesis yields "skipped", never a failure.
+cumulant caps.  Each, and `berry_esseen_tilted`'s 1.12/sigma_bar bound, names
+its hypotheses in `sharptail.models.HYPOTHESES`: a model that does not
+satisfy one yields "skipped", never a failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from ._normal import ndtr
 from ._tiltmath import packed_cumulants, packed_tilt, tilted_stats
 from .errors import NumericalError, ParameterError
-from .models import SumModel, abs_moment, envelope_violations, law_scale
+from .models import SumModel, abs_moment, hypothesis_violation, law_scale
 from .oracle import build_lattice, build_tilted_lattice
 from .sharp import C3_UNIVERSAL
 
@@ -135,8 +135,9 @@ def _two_point_mgf_cap(lams, var):
 
 def inequality_suite(model: SumModel, B: float, delta: float = 1.0) -> SuiteReport:
     """Evaluate, on `default_suite_grid(model, B)`, every envelope inequality
-    whose hypothesis the model satisfies.  Each is a statement about every
-    tilt, so no caller picks the grid.
+    whose hypotheses the model satisfies.  Each is a statement about every
+    tilt, so no caller picks the grid; each check names its hypotheses, and
+    its own skip reason when it needs several.
 
     Margins are signed slacks (bound minus quantity, or quantity minus bound
     for lower bounds), divided by sigma^2 for sum-level quantities so they
@@ -157,12 +158,13 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0) -> SuiteRepo
         stats, _ = packed_tilt(values, probs, lams)
         psi, bn, varbar = np.add.reduce(stats * mults, axis=2)
 
-    violation = envelope_violations(model, B, delta)
     checks = []
 
-    def add(name, margins):
-        """Skip the check if its hypothesis fails, or record the worst of `margins()`."""
-        reason = violation(name)
+    def add(name, needs, margins, reason=None):
+        """Skip the check if a hypothesis in `needs` fails, with `reason`, else
+        the decider's; or record the worst of `margins()`."""
+        failed = hypothesis_violation(model, needs, B, delta)
+        reason = None if failed is None else reason or failed
         if reason is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 marg = np.asarray(margins(), dtype=float)
@@ -177,38 +179,45 @@ def inequality_suite(model: SumModel, B: float, delta: float = 1.0) -> SuiteRepo
 
     # 1. per-component MGF <= extremal two-point MGF
     second = np.array([abs_moment(d, 2) for d, _ in model.components])
-    add("mgf_two_point", lambda: np.min(
+    add("mgf_two_point", ("upper",), lambda: np.min(
         _two_point_mgf_cap(lams[:, None], second) - np.exp(stats[0]), axis=1))
 
     # 2. per-component MGF <= exp(B^2 lam^2 / 2)
-    add("mgf_gaussian", lambda: np.exp(0.5 * (B * lams) ** 2) - np.max(np.exp(stats[0]), axis=1))
+    add("mgf_gaussian", ("upper_B", "moment_B"),
+        lambda: np.exp(0.5 * (B * lams) ** 2) - np.max(np.exp(stats[0]), axis=1),
+        "needs xi_i <= B and E|xi_i|^(2+delta) <= B^(2+delta)")
 
     # 3. two-sided envelope for the tilted mean
     def tilted_mean_margins():
         upper_m = (np.exp(B * lams) - 1.0) / B * s2 - bn
         lower_m = bn - (1.0 - 0.5 * B * lams) * lams * s2 * np.exp(-0.5 * (B * lams) ** 2)
         return np.minimum(upper_m, lower_m) / s2
-    add("tilted_mean_two_sided", tilted_mean_margins)
+    add("tilted_mean_two_sided", ("upper_B", "curvature"), tilted_mean_margins,
+        "needs xi_i <= B and the curvature condition")
 
     # 4. cumulant <= n * log of the extremal two-point MGF at variance sigma^2/n
-    add("cumulant_two_point", lambda: (n * np.log(_two_point_mgf_cap(lams, s2 / n)) - psi) / s2)
+    add("cumulant_two_point", ("upper",),
+        lambda: (n * np.log(_two_point_mgf_cap(lams, s2 / n)) - psi) / s2)
 
     # 5. two-sided envelope for the tilted variance
     def tilted_variance_margins():
         upper_m = np.exp(B * lams) * s2 - varbar
         lower_m = varbar - np.maximum(1.0 - 2.0 * B * lams, 0.0) * s2
         return np.minimum(upper_m, lower_m) / s2
-    add("tilted_variance_two_sided", tilted_variance_margins)
+    add("tilted_variance_two_sided", ("upper_B", "curvature", "moment_B"),
+        tilted_variance_margins,
+        "needs xi_i <= B, the curvature condition and the (2+delta) moment cap")
 
     # 6. cumulant <= lam^2 sigma^2 / 2
-    add("cumulant_gaussian", lambda: (0.5 * lams * lams * s2 - psi) / s2)
+    add("cumulant_gaussian", ("sigma",), lambda: (0.5 * lams * lams * s2 - psi) / s2)
 
     # 7. tilted variance lower bound from the third-moment ratio
-    add("tilted_variance_lower",
-        lambda: (varbar - np.maximum(1.0 - B * lams, 0.0) * np.exp(-(B * lams) ** 2) * s2) / s2)
+    add("tilted_variance_lower", ("upper_B", "ratio_B"),
+        lambda: (varbar - np.maximum(1.0 - B * lams, 0.0) * np.exp(-(B * lams) ** 2) * s2) / s2,
+        "needs xi_i <= B and E|xi_i|^3 <= B E xi_i^2")
 
     # 8. tilted mean lower bound for |xi_i| <= 1
-    add("tilted_mean_lower",
+    add("tilted_mean_lower", ("abs",),
         lambda: (bn - (1.0 - np.exp(-lams)) * np.exp(-0.5 * lams * lams) * s2) / s2)
 
     return SuiteReport(tuple(checks))
@@ -300,7 +309,7 @@ def berry_esseen_tilted(model: SumModel, lam: float, delta: float = 1.0) -> Norm
         )
     except (OverflowError, ZeroDivisionError):  # exp(B lam) or 1/sbar^(2+delta) overflows
         moment_bound = math.inf
-    bounded_bound = None if envelope_violations(model, B, delta)("normal_approx") else 1.12 / sbar
+    bounded_bound = None if hypothesis_violation(model, ("abs",), None, None) else 1.12 / sbar
     bound = bounded_bound if bounded_bound is not None else moment_bound
     return NormalApproxReport(
         lam=lam, sup_distance=sup, bound=bound, moment_bound=moment_bound,

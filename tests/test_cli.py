@@ -32,6 +32,12 @@ from sharptail.tilting import berry_esseen_tilted
 from conftest import FIVE_ATOM, _centered_dist
 
 
+_WIDE2X30 = SumModel(((DiscreteDistribution(((2.0, 0.2), (-0.5, 0.8))), 30),))
+_LOW2X40 = SumModel(((DiscreteDistribution(((-2.0, 1 / 3), (1.0, 2 / 3))), 40),))
+#: {-1 w.p. 0.2, 0.25 w.p. 0.8} x 400, whose ratio constant is 0.85
+_NEG400 = SumModel(((DiscreteDistribution(((-1.0, 0.2), (0.25, 0.8))), 400),))
+
+
 @pytest.fixture
 def eta_file(tmp_path):
     path = tmp_path / "eta.json"
@@ -41,10 +47,8 @@ def eta_file(tmp_path):
 
 @pytest.fixture
 def neg_file(tmp_path):
-    """{-1 w.p. 0.2, 0.25 w.p. 0.8} x 400, whose ratio constant is 0.85."""
     path = tmp_path / "neg.json"
-    path.write_text(json.dumps(model_to_dict(
-        SumModel(((DiscreteDistribution(((-1.0, 0.2), (0.25, 0.8))), 400),)))))
+    path.write_text(json.dumps(model_to_dict(_NEG400)))
     return str(path)
 
 
@@ -307,6 +311,49 @@ class TestBoundsCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(cli.MAX_GRID_POINTS) in err
 
+    @pytest.mark.parametrize("model, name, argv, reason", [
+        *[pytest.param(_WIDE2X30, name, [], "needs xi_i <= 1", id=f"wide2x30-{name}")
+          for name in ("expansion", "third_moment", "normal_shape", "hoeffding", "bennett",
+                       "bernstein")],
+        pytest.param(_WIDE2X30, "two_sided", [], "needs |xi_i| <= 1", id="wide2x30-two_sided"),
+        pytest.param(_WIDE2X30, "subgaussian", [], "needs xi_i <= sigma_i for every component",
+                     id="wide2x30-subgaussian"),
+        pytest.param(_LOW2X40, "two_sided", [], "needs |xi_i| <= 1", id="low2x40-two_sided"),
+        pytest.param(extremal_model(0.25, 50), "subgaussian", [],
+                     "needs xi_i <= sigma_i for every component", id="extremal0.25x50-subgaussian"),
+        pytest.param(_NEG400, "expansion", ["--b", "0.1"],
+                     "needs the curvature condition at B = 0.1", id="neg400-expansion-b0.1"),
+    ])
+    def test_every_exit_3_message(self, capsys, tmp_path, model, name, argv, reason):
+        # the golden test pins stdout only: each hypothesis message is pinned here
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(model)))
+        code, out, err = run(capsys, [
+            "bounds", "--model", str(path), "--x-grid", "0:1:3", "--bounds", name, *argv])
+        assert (code, out) == (3, "")
+        assert err == f"hypothesis violation: {name} {reason}\n"
+
+    @pytest.mark.parametrize("argv, passes", [
+        (["verify", "--b", "0.1"], 1),
+        (["verify"], 1),
+        (["bounds", "--x-grid", "0:3:7"], 0),
+        (["bounds", "--x-grid", "0:3:7", "--b", "0.1"], 1),
+    ], ids=["verify-b0.1", "verify", "bounds-all", "bounds-all-b0.1"])
+    def test_curvature_grid_runs_at_most_once(self, capsys, monkeypatch, neg_file, argv, passes):
+        # `verify` prints the curvature report that the suite's and
+        # `expansion`'s skip tests read; at the ratio constant the
+        # third-moment criterion decides the condition with no grid
+        grids = []
+        grid = sharptail.models.default_lambda_grid
+        monkeypatch.setattr(sharptail.models, "default_lambda_grid",
+                            lambda B: grids.append(B) or grid(B))
+        code, out, _ = run(capsys, [argv[0], "--model", neg_file, *argv[1:]])
+        assert len(grids) == passes
+        if argv == ["verify", "--b", "0.1"]:
+            assert code == 4 and json.loads(out)["curvature_condition"] == {
+                "B": 0.1, "holds": False, "worst_margin": -38.03621660280265,
+                "worst_lambda": 1.482020705798857}
+
     @pytest.mark.parametrize("value", ["0", "inf", "nan"])
     def test_verify_bad_b_exit_2(self, capsys, rad_file, value):
         code, out, err = run(capsys, ["verify", "--model", rad_file, f"--b={value}"])
@@ -316,7 +363,7 @@ class TestBoundsCommand:
 
 _FUZZ_MODELS = {
     "rademacher100": rademacher_model(100),
-    "wide2x30": SumModel(((DiscreteDistribution(((2.0, 0.2), (-0.5, 0.8))), 30),)),
+    "wide2x30": _WIDE2X30,
     "five_atom50": SumModel(((FIVE_ATOM, 50),)),
 }
 _ODD = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "0.5", "1", "2"]

@@ -39,7 +39,7 @@ from sharptail import (
 from sharptail.classical import SQRT_2PI, SQRT_PI
 from sharptail.cli import verify_report
 from sharptail.errors import HypothesisError, ParameterError, RangeError
-from sharptail.models import check_curvature_condition, curvature_holds, envelope_violations
+from sharptail.models import check_curvature_condition, hypothesis_violation
 from sharptail.sharp import BOUNDS, BoundSpec
 from sharptail.tilting import inequality_suite, tilt
 
@@ -322,8 +322,8 @@ class TestConstantsPolicy:
         assert "ratio_b" not in {f.name for f in dataclasses.fields(BoundSpec)}
 
     @pytest.mark.parametrize("fn", [
-        verify_report, BoundSpec.violation_at, check_curvature_condition, curvature_holds,
-        envelope_violations, inequality_suite,
+        verify_report, BoundSpec.violation, check_curvature_condition, hypothesis_violation,
+        inequality_suite,
     ], ids=lambda fn: fn.__qualname__)
     def test_no_caller_chosen_tilt_grid(self, fn):
         # the curvature condition and the suite's inequalities hold for every
